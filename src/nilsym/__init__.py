@@ -12,8 +12,7 @@ from .liealg import (LieAlgebra, ParamPoly, UcsProfile, change_basis,
                      direct_product, instantiate_params, jacobi_holds,
                      jacobi_violation, upper_central_series)
 from .cecomplex import (CEComplex, CochainBasisReport, betti_numbers,
-                        build_complex, cocycle_basis, d_squared_is_zero,
-                        differential)
+                        build_complex, cocycle_basis, d_squared_is_zero)
 from .detect import (ContactVerdict, FormCheckReport, SymplecticVerdict,
                      contact_decide, contact_polynomial, pfaffian_polynomial,
                      product_symplectic_witness, skew_gram_matrix,
@@ -31,7 +30,7 @@ __all__ = [
     "mask_of", "indices_of", "wedge_sign", "find_nonvanishing_point",
     "jacobi_holds", "jacobi_violation", "upper_central_series",
     "direct_product", "change_basis", "instantiate_params",
-    "build_complex", "differential", "d_squared_is_zero", "cocycle_basis",
+    "build_complex", "d_squared_is_zero", "cocycle_basis",
     "betti_numbers", "symplectic_decide", "contact_decide",
     "pfaffian_polynomial", "contact_polynomial", "skew_gram_matrix",
     "product_symplectic_witness", "verify_claimed_form",

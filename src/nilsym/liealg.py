@@ -8,6 +8,7 @@ one-parameter families, which must be instantiated before any analysis.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cecomplex import build_complex, d_squared_violation
 from .linalg import inverse, kernel_basis, residual, rref
 
 
@@ -232,26 +233,14 @@ class UcsProfile:
 
 
 def jacobi_violation(g):
-    """First triple (i,j,k), i<j<k, violating the Jacobi identity, else None."""
+    """First triple (i,j,k), i<j<k, violating the Jacobi identity, else None.
+
+    Read off d(dx_l) for every l: the coefficient of x_i x_j x_k in d(dx_l)
+    is the l-th component of the Jacobiator of (e_i, e_j, e_k), so the
+    lex-least monomial over all l is the lex-least violating triple.
+    """
     g._require_instantiated("Jacobi check")
-    n = g.dim
-    basis = []
-    for i in range(1, n + 1):
-        v = [Fraction(0)] * n
-        v[i - 1] = Fraction(1)
-        basis.append(v)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                total = [Fraction(0)] * n
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = g.bracket(basis[a - 1], basis[b - 1])
-                    outer = g.bracket(inner, basis[c - 1])
-                    for t in range(n):
-                        total[t] += outer[t]
-                if any(total):
-                    return (i, j, k)
-    return None
+    return d_squared_violation(build_complex(g))
 
 
 def jacobi_holds(g):
@@ -267,13 +256,15 @@ def upper_central_series(g):
     """
     g._require_instantiated("upper central series")
     n = g.dim
-    # ad-columns: w[i][j] = [e_{i+1}, e_{j+1}] as a length-n vector
-    basis = []
-    for i in range(1, n + 1):
+
+    def dense_bracket(i, j):
         v = [Fraction(0)] * n
-        v[i - 1] = Fraction(1)
-        basis.append(v)
-    w = [[g.bracket(basis[i], basis[j]) for j in range(n)] for i in range(n)]
+        for k, c in g.bracket_basis(i, j).items():
+            v[k - 1] = c
+        return v
+
+    # ad-columns: w[i][j] = [e_{i+1}, e_{j+1}] as a length-n vector
+    w = [[dense_bracket(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
 
     current = []  # rows spanning C_i; starts at C_0 = 0
     dims = []

@@ -121,12 +121,3 @@ def inverse(rows):
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red]
-
-
-def mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def identity(n):
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]

@@ -61,6 +61,15 @@ def random_invertible(rng, n, nops=None):
     return m
 
 
+def mat_mul(a, b):
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def identity(n):
+    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+
+
 def brute_det(rows):
     """Determinant by permutation expansion (use only for small n)."""
     n = len(rows)
@@ -104,6 +113,23 @@ def oracle_rank(rows):
         if r == len(m):
             break
     return r
+
+
+def oracle_jacobi_violation(g):
+    """First triple (i,j,k), i<j<k, whose Jacobiator
+    [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] is nonzero, by
+    evaluating brackets on dense unit vectors; None when Jacobi holds."""
+    n = g.dim
+    basis = [[Fraction(1 if t == i else 0) for t in range(n)] for i in range(n)]
+    for i, j, k in itertools.combinations(range(1, n + 1), 3):
+        total = [Fraction(0)] * n
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            inner = g.bracket(basis[a - 1], basis[b - 1])
+            outer = g.bracket(inner, basis[c - 1])
+            total = [x + y for x, y in zip(total, outer)]
+        if any(total):
+            return (i, j, k)
+    return None
 
 
 def brute_grid_first_nonzero(p):

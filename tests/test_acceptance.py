@@ -18,7 +18,7 @@ from nilsym import (LieAlgebra, Multivector, betti_numbers, build_complex,
                     symplectic_decide, verify_claimed_form)
 from nilsym import cli
 from nilsym.linalg import det
-from helpers import random_invertible, rnd_fraction
+from helpers import oracle_jacobi_violation, random_invertible, rnd_fraction
 
 BUNDLED = (["abelian:%d" % n for n in range(1, 7)]
            + ["heisenberg:%d" % n for n in (3, 5, 7)] + ["g13457C"])
@@ -158,6 +158,7 @@ def test_criterion_5_d_squared_iff_jacobi():
         for g in cases:
             assert d_squared_is_zero(build_complex(g)) == \
                 (jacobi_violation(g) is None)
+            assert jacobi_violation(g) == oracle_jacobi_violation(g)
 
 
 def test_criterion_6_cohomology_properties():

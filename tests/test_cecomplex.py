@@ -5,10 +5,10 @@ from math import comb
 import pytest
 
 from nilsym import (LieAlgebra, Multivector, betti_numbers, build_complex,
-                    builtin, cocycle_basis, d_squared_is_zero, differential,
-                    jacobi_holds)
+                    builtin, cocycle_basis, d_squared_is_zero, jacobi_holds,
+                    jacobi_violation)
 from nilsym.cecomplex import differential_matrix
-from helpers import oracle_rank, random_multivector
+from helpers import oracle_jacobi_violation, oracle_rank, random_multivector
 
 BUNDLED = ("abelian:1", "abelian:2", "abelian:3", "abelian:4", "abelian:5",
            "heisenberg:3", "heisenberg:5", "heisenberg:7", "g13457C")
@@ -114,6 +114,7 @@ def test_d_squared_iff_jacobi_on_random_brackets():
         g = LieAlgebra("rand", dim, brackets)
         holds = jacobi_holds(g)
         assert d_squared_is_zero(build_complex(g)) == holds
+        assert jacobi_violation(g) == oracle_jacobi_violation(g)
         seen_true += holds
         seen_false += not holds
 

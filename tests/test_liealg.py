@@ -6,8 +6,7 @@ import pytest
 from nilsym import (LieAlgebra, ParamPoly, builtin, change_basis,
                     direct_product, instantiate_params, jacobi_holds,
                     jacobi_violation, upper_central_series)
-from nilsym.linalg import identity
-from helpers import random_invertible
+from helpers import identity, oracle_jacobi_violation, random_invertible
 
 
 def jacobi_violator():
@@ -26,6 +25,45 @@ def test_jacobi_abelian():
 
 def test_jacobi_violator_reports_first_triple():
     assert jacobi_violation(jacobi_violator()) == (1, 2, 3)
+
+
+def random_maybe_jacobi_algebra(rng):
+    """A two-step nilpotent algebra (brackets of e_1..e_p land in the centre
+    e_{p+1}..e_n, so Jacobi holds) plus, some of the time, a few stray
+    brackets anywhere, which often break Jacobi at a triple that varies."""
+    dim = rng.randint(1, 8)
+    p = rng.randint(0, dim)
+    brackets = {}
+    if p < dim:
+        for i in range(1, p + 1):
+            for j in range(i + 1, p + 1):
+                if rng.random() < 0.5:
+                    brackets[(i, j)] = {k: rng.choice((-2, -1, 1, 3))
+                                        for k in rng.sample(range(p + 1, dim + 1),
+                                                            rng.randint(1, dim - p))}
+    if dim >= 3 and rng.random() < 0.8:
+        for _ in range(rng.randint(2, 4)):
+            i, j = sorted(rng.sample(range(1, dim + 1), 2))
+            brackets.setdefault((i, j), {})[rng.randint(1, dim)] = rng.choice((-1, 1, 2))
+    return LieAlgebra("rand", dim, brackets)
+
+
+def test_jacobi_violation_matches_triple_loop_oracle():
+    rng = random.Random(4077)
+    violating = 0
+    for _ in range(1200):
+        g = random_maybe_jacobi_algebra(rng)
+        expected = oracle_jacobi_violation(g)
+        assert jacobi_violation(g) == expected
+        violating += expected is not None
+    assert 400 <= violating <= 800
+
+
+def test_jacobi_violation_unbound_parameter_message():
+    with pytest.raises(ValueError) as err:
+        jacobi_violation(family_147E_like())
+    assert str(err.value) == ("Jacobi check requires an instantiated algebra; "
+                              "parameter 'lambda' is unbound")
 
 
 def test_bracket_antisymmetry_synthesized():

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from nilsym.linalg import (det, identity, in_row_span, inverse, kernel_basis,
-                           mat_mul, rank, rref)
-from helpers import brute_det, oracle_rank, random_invertible, rnd_fraction
+from nilsym.linalg import det, in_row_span, inverse, kernel_basis, rank, rref
+from helpers import (brute_det, identity, mat_mul, oracle_rank, random_invertible,
+                     rnd_fraction)
 
 
 def F(x):
