@@ -12,7 +12,10 @@ ignored):
     end
 
 Coefficients are rationals (`p`, `p/q`), `lambda` monomials, or
-parenthesized lambda-polynomials like `(2*lambda-1)`.  Form expressions use
+parenthesized lambda-polynomials like `(2*lambda-1)`.  The total power of
+`lambda` in one monomial (`lambda^40*lambda^30` counts 70) is at most
+MAX_LAMBDA_POWER; a higher power is a CatalogError, raised before any
+coefficient list is built.  Form expressions use
 the grammar `term ((+|-) term)*` with `term := [rational "*"] gen ("^"
 gen)*` and `gen := x<int> | y`.
 """
@@ -41,11 +44,14 @@ class CatalogError(ValueError):
         super().__init__(where + message)
 
 
+MAX_LAMBDA_POWER = 64
+
 _RATIONAL = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 _BRACKET_LINE = re.compile(r"^bracket\s*\[\s*(\d+)\s*,\s*(\d+)\s*\]\s*=\s*(.+)$")
 _BRACKET_TERM = re.compile(r"^(?:(?P<coef>.*)\*)?e(?P<k>\d+)$")
 _FORM_LINE = re.compile(r'^form\s+(symplectic|contact)\s+"([^"]*)"\s*$')
 _PARAM_LINE = re.compile(r"^param\s+lambda(?:\s+exclude\s*\{([^}]*)\})?\s*$")
+_LAMBDA_POWER = re.compile(r"^lambda\^([0-9]+)$")
 _GEN = re.compile(r"^(?:x(\d+)|y)$")
 _WS = re.compile(r"\s+")
 
@@ -109,12 +115,19 @@ def _parse_simple_coeff(s, param, line, sign=1):
         if factor == "lambda":
             power += 1
         elif factor.startswith("lambda^"):
-            exp = factor[len("lambda^"):]
-            if not exp.isdigit() or int(exp) < 1:
+            m = _LAMBDA_POWER.match(factor)
+            exp = m.group(1).lstrip("0") if m else ""
+            if not exp:
                 raise CatalogError("bad lambda power %r" % factor, line)
-            power += int(exp)
+            # More digits than the limit means over it; int() of a huge
+            # digit string is slow or refused outright.
+            too_long = len(exp) > len(str(MAX_LAMBDA_POWER))
+            power += MAX_LAMBDA_POWER + 1 if too_long else int(exp)
         else:
             coeff *= _parse_rational(factor, line)
+        if power > MAX_LAMBDA_POWER:
+            raise CatalogError("lambda power in %r exceeds %d"
+                               % (s, MAX_LAMBDA_POWER), line)
     if power:
         if param is None:
             raise CatalogError("'lambda' used without a param declaration", line)

@@ -7,6 +7,12 @@ Jacobi identity.  The coefficient of x_i x_j x_l in d(dx_k) is the k-th
 component of the Jacobiator of (e_i, e_j, e_l), so d_squared_violation reads
 the first violating triple off the 3-forms d(dx_k); this is the package's
 only Jacobi check.
+
+Betti numbers come from ranks of d, computed by sparse elimination
+(`linalg.rank`) of the images d(x_I) of the degree-p monomials, each a
+{monomial mask: coefficient} map; rank does not change under transpose, so
+no dense matrix is built for them.  Cocycle bases still go through the
+dense `differential_matrix`.
 """
 
 from dataclasses import dataclass
@@ -147,6 +153,8 @@ class CochainBasisReport:
 def betti_numbers(c):
     """One CochainBasisReport per degree 0..dim, from exact ranks.
 
+    The rank of d in degree p is the sparse rank of the images d(x_I) of
+    the degree-p monomials x_I, each given as its {mask: coefficient} map.
     Rejects complexes whose differential does not square to zero (i.e.
     algebras failing Jacobi), where the quotient is meaningless.
     """
@@ -154,10 +162,9 @@ def betti_numbers(c):
         raise ValueError("d^2 != 0: %r does not define a complex"
                          % (c.algebra.name,))
     n = c.dim
-    ranks = []
-    for degree in range(n + 1):
-        matrix, _, _ = differential_matrix(c, degree)
-        ranks.append(rank(matrix))
+    ranks = [rank(c.differential(Multivector(n, {m: 1})).terms
+                  for m in degree_monomials(n, degree))
+             for degree in range(n + 1)]
     reports = []
     for degree in range(n + 1):
         cochains = comb(n, degree)

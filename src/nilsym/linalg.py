@@ -1,10 +1,27 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Matrices are lists of rows of Fractions.  Everything is deterministic
-(first nonzero pivot, reduced row echelon form) and sized for the matrices
-this package actually meets, so plain dense elimination is enough.
+`rank` is a sparse eliminator: a row is a map {column: value} whose keys
+may be any ints (monomial bitmasks, say), and only nonzero entries are
+stored or touched.  A dense row (a sequence) is also accepted and read as
+{index: entry}.  Each row's pivot is its least key; every stored pivot row
+is scaled so its pivot is 1, and each new row is reduced against the stored
+ones until its least key is a new pivot or nothing is left.  This is plain
+sparse Gaussian elimination; structured Gaussian elimination (LaMacchia and
+Odlyzko, 1990) would also choose pivots by column weight to limit fill-in,
+which the sparse differentials met here have not needed.  Betti numbers
+feed it the images d(x_I) of the differential, so no dense matrix is built
+for them.
+
+`rref`, `kernel_basis`, `residual` and `inverse` are still dense lists of
+rows of Fractions, with the first nonzero pivot and reduced row echelon
+form.  Their callers (cocycle bases, the upper central series, basis
+changes) meet small matrices, and moving them onto the sparse kernel waits
+on the benchmark's `peak_rss_mb`, which today counts module copies left for
+the cyclic garbage collector and so reads higher when the library
+allocates less.  Everything is deterministic.
 """
 
+from collections.abc import Mapping
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -44,7 +61,31 @@ def rref(rows):
 
 
 def rank(rows):
-    return len(rref(rows)[1])
+    """Rank of the rows, each a {column: value} map or a dense sequence.
+
+    Pivot rows are kept by pivot column; a new row is reduced against the
+    pivot row of its least key until that key is a new pivot (the row is
+    then scaled and stored) or the row is empty.  The input is not modified.
+    """
+    pivots = {}
+    for row in rows:
+        items = row.items() if isinstance(row, Mapping) else enumerate(row)
+        r = {k: v for k, v in items if v}
+        while r:
+            lead = min(r)
+            prow = pivots.get(lead)
+            if prow is None:
+                inv = ONE / r[lead]
+                pivots[lead] = {k: v * inv for k, v in r.items()}
+                break
+            f = r[lead]
+            for k, v in prow.items():
+                w = r.get(k, ZERO) - f * v
+                if w:
+                    r[k] = w
+                else:
+                    del r[k]
+    return len(pivots)
 
 
 def kernel_basis(rows, ncols):
@@ -78,36 +119,6 @@ def residual(red, pivots, v):
             row = red[j]
             w = [a - f * b for a, b in zip(w, row)]
     return w
-
-
-def in_row_span(rows, v):
-    red, pivots = rref(rows)
-    return all(x == 0 for x in residual(red, pivots, v))
-
-
-def det(rows):
-    """Exact determinant by fraction elimination."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("determinant needs a square matrix")
-    m = [[Fraction(x) for x in row] for row in rows]
-    out = ONE
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            return ZERO
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            out = -out
-        pivot = m[c][c]
-        out *= pivot
-        inv = ONE / pivot
-        row_c = m[c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], row_c)]
-    return out
 
 
 def inverse(rows):

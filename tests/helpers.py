@@ -6,9 +6,11 @@ not share code with.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from nilsym import MPoly, Multivector, mask_of
+from nilsym.linalg import residual, rref
 
 
 def rnd_fraction(rng, num=9, den=4):
@@ -88,27 +90,65 @@ def brute_det(rows):
     return total
 
 
+def in_row_span(rows, v):
+    """Whether v lies in the row span, by the dense rref and residual."""
+    red, pivots = rref(rows)
+    return all(x == 0 for x in residual(red, pivots, v))
+
+
+def det(rows):
+    """Exact determinant by fraction elimination; the oracle for
+    "Pf^2 = det" at sizes where brute_det is too slow."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("determinant needs a square matrix")
+    m = [[Fraction(x) for x in row] for row in rows]
+    out = Fraction(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            out = -out
+        pivot = m[c][c]
+        out *= pivot
+        inv = 1 / pivot
+        row_c = m[c]
+        for i in range(c + 1, n):
+            if m[i][c] != 0:
+                f = m[i][c] * inv
+                m[i] = [a - f * b for a, b in zip(m[i], row_c)]
+    return out
+
+
 def oracle_rank(rows):
     """Rank by an elimination written independently of nilsym.linalg:
-    no pivot normalization, elimination by cross-multiplication."""
-    m = [[Fraction(x) for x in row] for row in rows]
+    each row is scaled to integers by the lcm of its denominators, then
+    fraction-free (Bareiss) elimination with no pivot normalization.  Each
+    cross-multiplied entry is divided exactly by the previous pivot, so the
+    entries stay minors of the scaled input instead of doubling in length
+    at every step, as plain cross-multiplication lets them."""
+    m = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        scale = math.lcm(*(x.denominator for x in row))
+        m.append([int(x * scale) for x in row])
     if not m:
         return 0
     ncols = len(m[0])
     r = 0
+    prev = 1
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
+        a = m[r][c]
         for i in range(r + 1, len(m)):
-            if m[i][c]:
-                a, b = m[r][c], m[i][c]
-                m[i] = [a * y - b * x for x, y in zip(m[r], m[i])]
+            b = m[i][c]
+            m[i] = [(a * y - b * x) // prev for x, y in zip(m[r], m[i])]
+        prev = a
         r += 1
         if r == len(m):
             break
@@ -149,8 +189,6 @@ def classic_pfaffian_4x4(a, b, c, d, e, f):
 def oracle_pfaffian(basis, dim, m):
     """Top coefficient of (sum t_i beta_i)^m / m! by brute expansion over
     ordered index tuples, sharing nothing with the generic-form machinery."""
-    import math
-
     k = len(basis)
     full = Multivector.monomial(dim, tuple(range(1, dim + 1)))
     full_mask = next(iter(full.terms))

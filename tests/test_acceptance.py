@@ -17,8 +17,7 @@ from nilsym import (LieAlgebra, Multivector, betti_numbers, build_complex,
                     parse_form, product_symplectic_witness, skew_gram_matrix,
                     symplectic_decide, verify_claimed_form)
 from nilsym import cli
-from nilsym.linalg import det
-from helpers import oracle_jacobi_violation, random_invertible, rnd_fraction
+from helpers import det, oracle_jacobi_violation, random_invertible, rnd_fraction
 
 BUNDLED = (["abelian:%d" % n for n in range(1, 7)]
            + ["heisenberg:%d" % n for n in (3, 5, 7)] + ["g13457C"])

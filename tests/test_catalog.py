@@ -129,6 +129,23 @@ def test_parse_bare_param_line_and_quadratic_lambda():
     assert parse_catalog(e.render() + "\n") == [e]
 
 
+def test_parse_lambda_power_limit():
+    def parse(coef):
+        return parse_catalog("algebra g\ndim 3\nparam lambda\n"
+                             "bracket [1,2] = %s*e3\nend\n" % coef)
+
+    assert (parse("lambda^64")[0].brackets[(1, 2)][3]
+            == ParamPoly("lambda", [0] * 64 + [1]))
+    for coef in ("lambda^65", "lambda^40*lambda^30", "(1 + lambda^65)"):
+        with pytest.raises(CatalogError) as exc:
+            parse(coef)
+        assert exc.value.line == 4 and exc.value.column == 17
+        assert "exceeds 64" in str(exc.value)
+    for coef in ("lambda^0", "lambda^x", "lambda^\u00b2"):
+        with pytest.raises(CatalogError, match="bad lambda power"):
+            parse(coef)
+
+
 def test_parse_negative_exclusions():
     text = "algebra g\ndim 2\nparam lambda exclude {-1, -1/2}\nend\n"
     e = parse_catalog(text)[0]

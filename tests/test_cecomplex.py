@@ -1,17 +1,21 @@
 import random
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from nilsym import (LieAlgebra, Multivector, betti_numbers, build_complex,
-                    builtin, cocycle_basis, d_squared_is_zero, jacobi_holds,
-                    jacobi_violation)
+                    builtin, change_basis, cocycle_basis, d_squared_is_zero,
+                    direct_product, jacobi_holds, jacobi_violation,
+                    parse_catalog_file)
 from nilsym.cecomplex import differential_matrix
-from helpers import oracle_jacobi_violation, oracle_rank, random_multivector
+from helpers import (oracle_jacobi_violation, oracle_rank, random_invertible,
+                     random_multivector)
 
 BUNDLED = ("abelian:1", "abelian:2", "abelian:3", "abelian:4", "abelian:5",
            "heisenberg:3", "heisenberg:5", "heisenberg:7", "g13457C")
+BUNDLED_CATALOG = Path(__file__).resolve().parent.parent / "catalogs" / "bundled.cat"
 
 
 def mono(dim, *idxs):
@@ -182,6 +186,55 @@ def test_betti_first_is_dim_minus_bracket_rank():
         c = build_complex(g)
         rank_d1 = oracle_rank(differential_matrix(c, 1)[0])
         assert betti_numbers(c)[1].betti == g.dim - rank_d1
+
+
+def betti(g):
+    return [r.betti for r in betti_numbers(build_complex(g))]
+
+
+def oracle_betti(c):
+    """Betti numbers from oracle_rank on the dense differential matrices."""
+    n = c.dim
+    ranks = [oracle_rank(differential_matrix(c, d)[0]) for d in range(n + 1)]
+    return [comb(n, d) - ranks[d] - (ranks[d - 1] if d else 0)
+            for d in range(n + 1)]
+
+
+def filiform(n):
+    """The standard filiform algebra [e1, ei] = e_{i+1}."""
+    return LieAlgebra("filiform:%d" % n, n,
+                      {(1, i): {i + 1: Fraction(1)} for i in range(2, n)})
+
+
+def test_betti_invariant_under_change_of_basis_and_matches_oracle():
+    # Basis changes fill the differential with non-unit fractions, which
+    # the fixtures alone do not.
+    rng = random.Random(61)
+    algebras = ([e.algebra() for e in parse_catalog_file(BUNDLED_CATALOG)]
+                + [filiform(n) for n in range(4, 9)])
+    for g in algebras:
+        expected = betti(g)
+        for _ in range(20):
+            c = build_complex(change_basis(g, random_invertible(rng, g.dim)))
+            assert [r.betti for r in betti_numbers(c)] == expected
+            assert oracle_betti(c) == expected
+
+
+def test_betti_heisenberg_closed_form():
+    # b_p = C(2k,p) - C(2k,p-2) for p <= k, mirrored for p > k
+    for k in range(1, 7):
+        half = [comb(2 * k, p) - (comb(2 * k, p - 2) if p >= 2 else 0)
+                for p in range(k + 1)]
+        assert betti(builtin("heisenberg:%d" % (2 * k + 1))) == half + half[::-1]
+
+
+def test_betti_kunneth_with_a_line():
+    # b_p(g x a) = b_p(g) + b_{p-1}(g)
+    for name in ("heisenberg:13", "abelian:12"):
+        g = builtin(name)
+        b = betti(g) + [0]
+        expected = [b[p] + (b[p - 1] if p else 0) for p in range(g.dim + 2)]
+        assert betti(direct_product(g, builtin("abelian:1"))) == expected
 
 
 def test_betti_rejects_non_complexes():

@@ -207,6 +207,20 @@ def test_report_collects_parse_errors(tmp_path, capsys):
     assert "broken.cat" in err
 
 
+def test_report_lambda_power_over_limit_is_an_error_row(tmp_path, capsys):
+    (tmp_path / "big.cat").write_text(
+        "algebra g\ndim 3\nparam lambda\nbracket [1,2] = lambda^65*e3\nend\n")
+    (tmp_path / "ok.cat").write_text("algebra a2\ndim 2\nend\n")
+    out_json = tmp_path / "report.json"
+    code, _, _ = run(capsys, "report", str(tmp_path), "--json", str(out_json))
+    assert code == 2
+    payload = json.loads(out_json.read_text())
+    assert [row["name"] for row in payload["algebras"]] == ["a2"]
+    [error] = payload["errors"]
+    assert error["file"] == "big.cat"
+    assert error["error"].startswith("line 4, column 17: ")
+
+
 def test_report_json_deterministic(tmp_path, capsys, monkeypatch):
     (tmp_path / "cats").mkdir()
     (tmp_path / "cats" / "a.cat").write_text(

@@ -7,8 +7,7 @@ from nilsym import (LieAlgebra, MPoly, Multivector, builtin, change_basis,
                     contact_decide, contact_polynomial, direct_product,
                     parse_form, pfaffian_polynomial, product_symplectic_witness,
                     skew_gram_matrix, symplectic_decide, verify_claimed_form)
-from nilsym.linalg import det
-from helpers import (classic_pfaffian_4x4, oracle_contact_poly,
+from helpers import (classic_pfaffian_4x4, det, oracle_contact_poly,
                      oracle_pfaffian, random_invertible, rnd_fraction)
 
 
