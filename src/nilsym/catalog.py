@@ -15,12 +15,15 @@ Coefficients are rationals (`p`, `p/q`), `lambda` monomials, or
 parenthesized lambda-polynomials like `(2*lambda-1)`.  The total power of
 `lambda` in one monomial (`lambda^40*lambda^30` counts 70) is at most
 MAX_LAMBDA_POWER; a higher power is a CatalogError, raised before any
-coefficient list is built.  Form expressions use
+coefficient list is built.  A number longer than Python converts to an int
+(sys.get_int_max_str_digits(), 4300 digits by default) is a CatalogError
+with its line.  Form expressions use
 the grammar `term ((+|-) term)*` with `term := [rational "*"] gen ("^"
 gen)*` and `gen := x<int> | y`.
 """
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,16 +59,31 @@ _GEN = re.compile(r"^(?:x(\d+)|y)$")
 _WS = re.compile(r"\s+")
 
 
+def _int(text, line=None):
+    """int() of an integer from catalog text, raising a CatalogError where
+    int() raises: Python converts at most sys.get_int_max_str_digits()
+    digits (4300 by default), and this limit is not raised here."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = len(text.lstrip("+-"))
+        limit = sys.get_int_max_str_digits()
+        if limit and digits > limit:
+            raise CatalogError("integer of %d digits is over the limit of %d"
+                               % (digits, limit), line) from None
+        raise CatalogError("bad integer %r" % text, line) from None
+
+
 def _parse_rational(text, line=None):
     s = text.strip()
     if not _RATIONAL.match(s):
         raise CatalogError("expected a rational, got %r" % s, line)
     if "/" in s:
         num, den = s.split("/")
-        if int(den) == 0:
+        if _int(den, line) == 0:
             raise CatalogError("zero denominator in %r" % s, line)
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+        return Fraction(_int(num, line), _int(den, line))
+    return Fraction(_int(s, line))
 
 
 def _signed_terms(s, line=None):
@@ -153,7 +171,7 @@ def _parse_bracket_rhs(text, dim, param, line):
         m = _BRACKET_TERM.match(_WS.sub("", term))
         if not m:
             raise CatalogError("bad bracket term %r" % term, line)
-        k = int(m.group("k"))
+        k = _int(m.group("k"), line)
         if not 1 <= k <= dim:
             raise CatalogError("bracket target e%d outside 1..%d" % (k, dim), line)
         coef = m.group("coef")
@@ -266,10 +284,10 @@ def parse_catalog(text):
             if state["dim"] is not None:
                 raise CatalogError("duplicate dim line", lineno)
             body = s[len("dim"):].strip()
-            if not body.isdigit() or int(body) < 1:
+            if not body.isdigit() or _int(body, lineno) < 1:
                 raise CatalogError("dim must be a positive integer, got %r" % body,
                                    lineno)
-            state["dim"] = int(body)
+            state["dim"] = _int(body, lineno)
             continue
         if s.startswith("param"):
             m = _PARAM_LINE.match(s)
@@ -290,7 +308,7 @@ def parse_catalog(text):
             m = _BRACKET_LINE.match(s)
             if not m:
                 raise CatalogError("bad bracket line %r" % s, lineno)
-            i, j = int(m.group(1)), int(m.group(2))
+            i, j = _int(m.group(1), lineno), _int(m.group(2), lineno)
             if i == j:
                 raise CatalogError("bracket [%d,%d] is identically zero" % (i, j),
                                    lineno)
@@ -403,7 +421,7 @@ def parse_form(expr, dim, has_y=False):
                                            "one-dimensional factor")
                     idx = dim + 1
                 else:
-                    idx = int(m.group(1))
+                    idx = _int(m.group(1))
                     if not 1 <= idx <= dim:
                         raise CatalogError("x%d outside 1..%d in form term %r"
                                            % (idx, dim, term))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cecomplex import build_complex, d_squared_violation
-from .linalg import inverse, kernel_basis, residual, rref
+from .linalg import clear_denominators, inverse, relations
 
 
 class ParamPoly:
@@ -248,45 +248,47 @@ def jacobi_holds(g):
 
 
 def upper_central_series(g):
-    """Upper central series dims via exact kernel computations.
+    """Upper central series dims, by ranks of annihilators.
 
-    Each C_{i+1} = {x : [x, e_j] in C_i for all j} is the kernel of the
-    stacked conditions obtained by reducing [e_i, e_j] against an rref basis
-    of C_i.  Stops when the series stabilizes; nilpotent iff it reaches dim.
+    C_0 = 0 and C_{i+1} = {x : [x, e_j] in C_i for all j}.  The annihilator
+    Ann(C_0) is spanned by all coordinate functionals, and x lies in C_{i+1}
+    exactly when phi([x, e_j]) = 0 for every phi in Ann(C_i) and every j.
+    So Ann(C_{i+1}) is spanned by the functionals psi_{phi,j} with
+    psi_{phi,j}(e_i) = sum_k phi_k c_ij^k, and dim C_{i+1} = n - their rank;
+    the independent ones span the next step.  The structure constants are
+    scaled to integers once, which changes no span, so every psi is an
+    integer map {i: psi(e_i)} and no kernel, residual or dense bracket
+    table is built.  Stops when the series stabilizes; nilpotent iff it
+    reaches dim.
     """
     g._require_instantiated("upper central series")
     n = g.dim
-
-    def dense_bracket(i, j):
-        v = [Fraction(0)] * n
-        for k, c in g.bracket_basis(i, j).items():
-            v[k - 1] = c
-        return v
-
-    # ad-columns: w[i][j] = [e_{i+1}, e_{j+1}] as a length-n vector
-    w = [[dense_bracket(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-
-    current = []  # rows spanning C_i; starts at C_0 = 0
+    _, scaled_rows = clear_denominators(g.brackets.values())
+    # ad[j] lists (i, {k: L * c_ij^k}) for every nonzero [e_i, e_j]
+    ad = [[] for _ in range(n + 1)]
+    for (i, j), scaled in zip(g.brackets, scaled_rows):
+        ad[j].append((i, scaled))
+        ad[i].append((j, {k: -c for k, c in scaled.items()}))
+    spanning = [{k: 1} for k in range(1, n + 1)]  # Ann(C_0)
     dims = []
     while True:
-        red, pivots = rref(current)
-        # [x, e_j] in C_i is linear in x; one scalar row per coordinate of
-        # the residual of [e_i, e_j] against the current rref basis.
-        rows = []
-        for j in range(n):
-            res = [residual(red, pivots, w[i][j]) for i in range(n)]
-            for coord in range(n):
-                row = [res[i][coord] for i in range(n)]
-                if any(row):
-                    rows.append(row)
-        new_basis = kernel_basis(rows, n)
-        new_dim = len(new_basis)
+        psis = []
+        for phi in spanning:
+            for pairs in ad:
+                psi = {}
+                for i, combo in pairs:
+                    v = sum(phi.get(k, 0) * c for k, c in combo.items())
+                    if v:
+                        psi[i] = v
+                if psi:
+                    psis.append(psi)
+        spanning = [psi for psi, rel in zip(psis, relations(psis)) if rel is None]
+        new_dim = n - len(spanning)
         if dims and new_dim == dims[-1]:
             break
         dims.append(new_dim)
         if new_dim == 0 or new_dim == n:
             break
-        current = new_basis
     return UcsProfile(tuple(dims), n)
 
 

@@ -1,28 +1,43 @@
 """Exact linear algebra over the rationals.
 
-`rank` is a sparse eliminator: a row is a map {column: value} whose keys
-may be any ints (monomial bitmasks, say), and only nonzero entries are
-stored or touched.  A dense row (a sequence) is also accepted and read as
-{index: entry}.  Each row's pivot is its least key; every stored pivot row
-is scaled so its pivot is 1, and each new row is reduced against the stored
-ones until its least key is a new pivot or nothing is left.  This is plain
-sparse Gaussian elimination; structured Gaussian elimination (LaMacchia and
-Odlyzko, 1990) would also choose pivots by column weight to limit fill-in,
-which the sparse differentials met here have not needed.  Betti numbers
-feed it the images d(x_I) of the differential, so no dense matrix is built
-for them.
+`relations` is the package's eliminator.  It takes vectors in order, each a
+map {key: value} whose keys may be any ints (monomial bitmasks, say) or a
+dense sequence read as {index: entry}, and tells for each one whether it is
+independent of the earlier ones or, if not, an integer relation that proves
+it.  The arithmetic is fraction-free, in the style of Bareiss (1968), on
+Python ints: each vector is scaled to integers by the lcm of its
+denominators, a row is reduced against a stored pivot row as a*row - b*pivot
+with a and b first divided by their gcd, and stored pivot rows are kept
+primitive (divided by the gcd of their entries and of their relation, with a
+positive pivot), so no Fraction is made in the loop and entries stay short.
+A row's pivot is its least key, and only nonzero entries are stored or
+touched.  This is plain sparse Gaussian elimination; structured Gaussian
+elimination (LaMacchia and Odlyzko, 1990) would also choose pivots by
+column weight to limit fill-in, which the sparse differentials met here
+have not needed.
 
-`rref`, `kernel_basis`, `residual` and `inverse` are still dense lists of
-rows of Fractions, with the first nonzero pivot and reduced row echelon
-form.  Their callers (cocycle bases, the upper central series, basis
-changes) meet small matrices, and moving them onto the sparse kernel waits
-on the benchmark's `peak_rss_mb`, which today counts module copies left for
-the cyclic garbage collector and so reads higher when the library
-allocates less.  Everything is deterministic.
+`rank` counts the independent vectors and `inverse` reads the relations of
+the unit vectors against the rows of a matrix.  Betti numbers run on
+`rank`, the upper central series on `relations` (it keeps the independent
+vectors) and basis changes on `inverse`.  `clear_denominators` scales a
+family of rational maps by one common lcm, for the callers that build their
+integer vectors out of several of them (d(x_I) from the dx_k, the central
+series' functionals from the brackets).
+
+`rref` and `kernel_basis` are dense lists of rows of Fractions, with the
+first nonzero pivot and reduced row echelon form; cocycle bases are their
+only caller.  Moving those onto `relations` gave identical Z^2 bases, but
+raised the benchmark's `peak_rss_mb` past its bound of 0.1 (22.82 -> 26.67 MB
+on many-small, 22.65 -> 25.40 MB on ladder), because the benchmark's set-up
+leaves discarded module copies to the cyclic garbage collector and a
+library that allocates less triggers fewer of the collections that free
+them.  So they move once the benchmark collects after its set-up.
+Everything is deterministic.
 """
 
 from collections.abc import Mapping
 from fractions import Fraction
+from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -60,32 +75,86 @@ def rref(rows):
     return m, pivots
 
 
-def rank(rows):
-    """Rank of the rows, each a {column: value} map or a dense sequence.
+def _integer_row(vector):
+    """The nonzero entries of a rational vector times the lcm of their
+    denominators, as {key: int}, and that lcm.  This runs once per vector;
+    doing it through clear_denominators took half as long again."""
+    items = vector.items() if isinstance(vector, Mapping) else enumerate(vector)
+    entries = [(k, v) for k, v in items if v]
+    scale = lcm(*(v.denominator for _, v in entries))
+    return {k: v.numerator * (scale // v.denominator) for k, v in entries}, scale
 
-    Pivot rows are kept by pivot column; a new row is reduced against the
-    pivot row of its least key until that key is a new pivot (the row is
-    then scaled and stored) or the row is empty.  The input is not modified.
+
+def clear_denominators(maps):
+    """(L, [L*m as {key: int} for each map m]) for maps {key: rational},
+    with L the lcm of all their denominators."""
+    maps = list(maps)
+    scale = lcm(*(v.denominator for m in maps for v in m.values()))
+    return scale, [{k: v.numerator * (scale // v.denominator) for k, v in m.items()}
+                   for m in maps]
+
+
+def _subtract(acc, a, b, other):
+    """acc <- a*acc - b*other in place, dropping entries that become 0."""
+    if a != 1:
+        for k in acc:
+            acc[k] *= a
+    for k, v in other.items():
+        w = acc.get(k, 0) - b * v
+        if w:
+            acc[k] = w
+        else:
+            del acc[k]
+
+
+def _divide(vec, g):
+    """vec <- vec / g in place (an exact division)."""
+    if g != 1:
+        for k in vec:
+            vec[k] //= g
+
+
+def relations(vectors):
+    """For each vector in order: None when it is independent of the earlier
+    ones, else an integer relation {index: coefficient} with
+    sum coefficient * vectors[index] = 0.
+
+    A relation names the vector's own index with a positive coefficient and
+    otherwise only earlier independent vectors; it is primitive (its
+    coefficients have gcd 1).  Vectors are {key: rational} maps with any int
+    keys, or dense sequences; the input is not modified.
     """
-    pivots = {}
-    for row in rows:
-        items = row.items() if isinstance(row, Mapping) else enumerate(row)
-        r = {k: v for k, v in items if v}
-        while r:
-            lead = min(r)
-            prow = pivots.get(lead)
-            if prow is None:
-                inv = ONE / r[lead]
-                pivots[lead] = {k: v * inv for k, v in r.items()}
+    pivots = {}  # least key -> (primitive row, its relation), lead > 0
+    for index, vector in enumerate(vectors):
+        row, scale = _integer_row(vector)
+        rel = {index: scale}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                g = gcd(*row.values(), *rel.values())
+                g = -g if row[lead] < 0 else g
+                _divide(row, g)
+                _divide(rel, g)
+                pivots[lead] = (row, rel)
                 break
-            f = r[lead]
-            for k, v in prow.items():
-                w = r.get(k, ZERO) - f * v
-                if w:
-                    r[k] = w
-                else:
-                    del r[k]
-    return len(pivots)
+            prow, prel = pivot
+            a, b = prow[lead], row[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            _subtract(row, a, b, prow)
+            _subtract(rel, a, b, prel)
+        if row:
+            yield None
+        else:
+            g = gcd(*rel.values())
+            _divide(rel, -g if rel[index] < 0 else g)
+            yield rel
+
+
+def rank(rows):
+    """Rank of the rows, each a {column: value} map or a dense sequence."""
+    return sum(1 for rel in relations(rows) if rel is None)
 
 
 def kernel_basis(rows, ncols):
@@ -110,25 +179,21 @@ def kernel_basis(rows, ncols):
     return basis
 
 
-def residual(red, pivots, v):
-    """Reduce v against an rref row space; zero iff v lies in the span."""
-    w = [Fraction(x) for x in v]
-    for j, p in enumerate(pivots):
-        if w[p] != 0:
-            f = w[p]
-            row = red[j]
-            w = [a - f * b for a, b in zip(w, row)]
-    return w
-
-
 def inverse(rows):
-    """Exact inverse; raises ValueError on a singular matrix."""
+    """Exact inverse as rows of Fractions; raises ValueError on a singular
+    matrix.
+
+    After the n rows, the unit vector e_k reduces to zero with a relation
+    c e_k + sum_j r_j row_j = 0, so row k of the inverse is -r / c.
+    """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("inverse needs a square matrix")
-    aug = [[Fraction(x) for x in row] + [ONE if i == j else ZERO for j in range(n)]
-           for i, row in enumerate(rows)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
+    found = relations([*rows, *({k: 1} for k in range(n))])
+    if any(rel is not None for _, rel in zip(range(n), found)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    out = []
+    for k, rel in enumerate(found):
+        own = rel[n + k]
+        out.append([Fraction(-rel.get(j, 0), own) for j in range(n)])
+    return out

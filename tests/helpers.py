@@ -9,8 +9,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from nilsym import MPoly, Multivector, mask_of
-from nilsym.linalg import residual, rref
+from nilsym import MPoly, Multivector, UcsProfile, mask_of
+from nilsym.linalg import kernel_basis, rref
 
 
 def rnd_fraction(rng, num=9, den=4):
@@ -88,6 +88,70 @@ def brute_det(rows):
             prod *= rows[i][p]
         total += sign * prod
     return total
+
+
+def residual(red, pivots, v):
+    """Reduce v against an rref row space; zero iff v lies in the span."""
+    w = [Fraction(x) for x in v]
+    for j, p in enumerate(pivots):
+        if w[p] != 0:
+            f = w[p]
+            row = red[j]
+            w = [a - f * b for a, b in zip(w, row)]
+    return w
+
+
+def oracle_inverse(rows):
+    """Exact inverse by the dense rref of [A | I]; raises ValueError on a
+    singular matrix."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("inverse needs a square matrix")
+    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
+           for i, row in enumerate(rows)]
+    red, pivots = rref(aug)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in red]
+
+
+def oracle_ucs(g):
+    """Upper central series dims by dense kernels: each
+    C_{i+1} = {x : [x, e_j] in C_i for all j} is the kernel of the stacked
+    conditions obtained by reducing [e_i, e_j] against an rref basis of C_i."""
+    n = g.dim
+
+    def dense_bracket(i, j):
+        v = [Fraction(0)] * n
+        for k, c in g.bracket_basis(i, j).items():
+            v[k - 1] = c
+        return v
+
+    # ad-columns: w[i][j] = [e_{i+1}, e_{j+1}] as a length-n vector
+    w = [[dense_bracket(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+
+    current = []  # rows spanning C_i; starts at C_0 = 0
+    dims = []
+    while True:
+        red, pivots = rref(current)
+        # [x, e_j] in C_i is linear in x; one scalar row per coordinate of
+        # the residual of [e_i, e_j] against the current rref basis.
+        rows = []
+        for j in range(n):
+            res = [residual(red, pivots, w[i][j]) for i in range(n)]
+            for coord in range(n):
+                row = [res[i][coord] for i in range(n)]
+                if any(row):
+                    rows.append(row)
+        new_basis = kernel_basis(rows, n)
+        new_dim = len(new_basis)
+        if dims and new_dim == dims[-1]:
+            break
+        dims.append(new_dim)
+        if new_dim == 0 or new_dim == n:
+            break
+        current = new_basis
+    return UcsProfile(tuple(dims), n)
 
 
 def in_row_span(rows, v):

@@ -146,6 +146,26 @@ def test_parse_lambda_power_limit():
             parse(coef)
 
 
+def test_parse_numbers_over_the_int_digit_limit():
+    # Python converts at most 4300 digits by default; the parser reports
+    # such a number with its line instead of letting that ValueError out.
+    long = "7" * 4301
+    cases = [("algebra g\ndim 3\nbracket [1,2] = %s*e3\nend\n" % long, 3, 17),
+             ("algebra g\ndim 3\nbracket [1,2] = 1/%s*e3\nend\n" % long, 3, 17),
+             ("algebra g\ndim 3\nbracket [1,2] = e%s\nend\n" % long, 3, 17),
+             ("algebra g\ndim 3\nbracket [1,%s] = e3\nend\n" % long, 3, None),
+             ("algebra g\ndim %s\nend\n" % long, 2, None)]
+    for text, line, column in cases:
+        with pytest.raises(CatalogError) as exc:
+            parse_catalog(text)
+        assert (exc.value.line, exc.value.column) == (line, column)
+        assert "4301 digits" in str(exc.value)
+    with pytest.raises(CatalogError, match="4301 digits"):
+        parse_form("x%s" % long, 3)
+    with pytest.raises(CatalogError, match="bad integer"):
+        parse_catalog("algebra g\ndim \u00b2\nend\n")
+
+
 def test_parse_negative_exclusions():
     text = "algebra g\ndim 2\nparam lambda exclude {-1, -1/2}\nend\n"
     e = parse_catalog(text)[0]

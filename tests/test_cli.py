@@ -221,6 +221,23 @@ def test_report_lambda_power_over_limit_is_an_error_row(tmp_path, capsys):
     assert error["error"].startswith("line 4, column 17: ")
 
 
+def test_report_number_over_the_int_digit_limit_is_an_error_row(tmp_path, capsys):
+    (tmp_path / "long.cat").write_text(
+        "algebra g\ndim 3\nbracket [1,2] = %s*e3\nend\n" % ("7" * 4301))
+    (tmp_path / "h3.cat").write_text(
+        "algebra h3\ndim 3\nbracket [2,3] = e1\nend\n")
+    out_json = tmp_path / "report.json"
+    code, out, _ = run(capsys, "report", str(tmp_path), "--json", str(out_json))
+    assert code == 2
+    assert "h3" in out
+    payload = json.loads(out_json.read_text())
+    assert [row["name"] for row in payload["algebras"]] == ["h3"]
+    [error] = payload["errors"]
+    assert error["file"] == "long.cat"
+    assert error["error"] == ("line 3, column 17: integer of 4301 digits "
+                              "is over the limit of 4300")
+
+
 def test_report_json_deterministic(tmp_path, capsys, monkeypatch):
     (tmp_path / "cats").mkdir()
     (tmp_path / "cats" / "a.cat").write_text(

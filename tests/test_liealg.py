@@ -6,7 +6,8 @@ import pytest
 from nilsym import (LieAlgebra, ParamPoly, builtin, change_basis,
                     direct_product, instantiate_params, jacobi_holds,
                     jacobi_violation, upper_central_series)
-from helpers import identity, oracle_jacobi_violation, random_invertible
+from helpers import (identity, oracle_jacobi_violation, oracle_ucs,
+                     random_invertible, rnd_nonzero_fraction)
 
 
 def jacobi_violator():
@@ -241,6 +242,40 @@ def test_ucs_invariant_under_change_of_basis():
         for _ in range(5):
             t = random_invertible(rng, g.dim)
             assert upper_central_series(change_basis(g, t)).dims == dims
+
+
+def random_bracket_table(rng, nilpotent):
+    """Random brackets on dim 1-8.  With `nilpotent`, [e_i, e_j] (i < j)
+    only reaches e_k with k > j, so the series climbs to dim in steps of
+    varying size; otherwise targets are arbitrary and the table is mostly
+    not nilpotent.  Jacobi is not required: the series is linear algebra
+    on the table."""
+    dim = rng.randint(1, 8)
+    brackets = {}
+    for i in range(1, dim + 1):
+        for j in range(i + 1, dim + 1):
+            targets = range(j + 1, dim + 1) if nilpotent else range(1, dim + 1)
+            if targets and rng.random() < 0.4:
+                picked = rng.sample(targets, min(rng.randint(1, 2), len(targets)))
+                brackets[(i, j)] = {k: rnd_nonzero_fraction(rng, 3, 3) for k in picked}
+    return LieAlgebra("rand", dim, brackets)
+
+
+def test_ucs_matches_dense_oracle():
+    rng = random.Random(4078)
+    lengths = set()
+    not_nilpotent = 0
+    for n in range(300):
+        g = (random_bracket_table(rng, nilpotent=n % 3 != 0) if n % 4
+             else random_maybe_jacobi_algebra(rng))
+        expected = oracle_ucs(g)
+        assert upper_central_series(g) == expected
+        lengths.add(len(expected.dims))
+        not_nilpotent += not expected.is_nilpotent
+        h = change_basis(g, random_invertible(rng, g.dim))
+        assert upper_central_series(h) == oracle_ucs(h) == expected
+    assert not_nilpotent >= 50
+    assert lengths >= {1, 2, 3, 4}
 
 
 def test_product_of_nilpotents_is_nilpotent():

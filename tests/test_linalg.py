@@ -1,12 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilsym.linalg import inverse, kernel_basis, rank, rref
-from helpers import (brute_det, det, identity, in_row_span, mat_mul, oracle_rank,
-                     random_invertible, rnd_fraction)
+from nilsym.linalg import inverse, kernel_basis, rank, relations, rref
+from helpers import (brute_det, det, identity, in_row_span, mat_mul, oracle_inverse,
+                     oracle_rank, random_invertible, rnd_fraction)
 
 
 def F(x):
@@ -51,6 +52,29 @@ def matrices_with_keys(draw):
     return rows, keys
 
 
+def check_relations(vectors, found):
+    """Each relation sums its vectors to zero, names the vector's own index
+    with a positive coefficient and otherwise only earlier independent ones,
+    and is primitive; returns the number of independent vectors."""
+    assert len(found) == len(vectors)
+    independent = set()
+    for index, rel in enumerate(found):
+        if rel is None:
+            independent.add(index)
+            continue
+        assert rel[index] > 0
+        assert all(type(c) is int and c for c in rel.values())
+        assert set(rel) - {index} <= {i for i in independent if i < index}
+        assert math.gcd(*rel.values()) == 1
+        total = {}
+        for i, c in rel.items():
+            items = vectors[i].items() if isinstance(vectors[i], dict) else enumerate(vectors[i])
+            for k, x in items:
+                total[k] = total.get(k, 0) + c * x
+        assert not any(total.values())
+    return len(independent)
+
+
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(matrices_with_keys())
 def test_sparse_rank_dense_and_mapped_rows_match_oracle(case):
@@ -63,6 +87,39 @@ def test_sparse_rank_dense_and_mapped_rows_match_oracle(case):
     assert maps == copies  # the input is not modified
     # explicit zero entries are ignored
     assert rank([dict(zip(keys, row)) for row in rows]) == expected
+    for vectors in (rows, maps):
+        assert check_relations(vectors, list(relations(vectors))) == expected
+    assert maps == copies
+
+
+@st.composite
+def square_matrices(draw):
+    """Small square rational matrices, singular ones included, and
+    invertible ones built from elementary row operations."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        return random_invertible(random.Random(draw(st.integers(0, 10 ** 6))), n)
+    return draw(st.lists(st.lists(ENTRIES, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(square_matrices())
+def test_inverse_matches_dense_oracle(m):
+    try:
+        expected = oracle_inverse(m)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular"):
+            inverse(m)
+        return
+    got = inverse(m)
+    assert got == expected
+    assert all(type(x) is Fraction for row in got for x in row)
+
+
+def test_inverse_rejects_non_square():
+    with pytest.raises(ValueError, match="square"):
+        inverse([[F(1), F(2)]])
 
 
 def test_kernel_vectors_annihilate():
