@@ -9,12 +9,10 @@ the first violating triple off the 3-forms d(dx_k); this is the package's
 only Jacobi check.
 
 Betti numbers come from ranks of d, computed by the sparse fraction-free
-eliminator (`linalg.rank`) on integer images: the denominators of the dx_k
-are cleared once per complex with their lcm L, and L*d(x_I) is computed in
-int arithmetic for each degree-p monomial x_I (`integer_image`), each a
-{monomial mask: int} map.  A nonzero scale does not change a rank, and rank
-does not change under transpose, so no dense matrix and no Fraction is made
-for them.  Cocycle bases still go through the dense `differential_matrix`.
+eliminator (`linalg.rank`) on the images d(x_I) of the degree-p monomials,
+each a {monomial mask: coefficient} map; rank scales each image to integers
+once, and does not change under transpose, so no dense matrix is built for
+them.  Cocycle bases still go through the dense `differential_matrix`.
 """
 
 from dataclasses import dataclass
@@ -23,7 +21,7 @@ from itertools import combinations
 from math import comb
 
 from .exterior import Multivector, mask_of, indices_of, wedge_sign
-from .linalg import clear_denominators, kernel_basis, rank
+from .linalg import kernel_basis, rank
 
 
 class CEComplex:
@@ -101,31 +99,6 @@ def d_squared_is_zero(c):
     return d_squared_violation(c) is None
 
 
-def integer_image(diffs, mask):
-    """L*d(x_I) for the monomial x_I with this mask, as {mask: int}, from the
-    generator differentials scaled to {mask: int} maps L*dx_k (see
-    `linalg.clear_denominators`); the sign rule is that of
-    CEComplex.differential on a monomial with coefficient 1."""
-    acc = {}
-    bits, even = mask, True  # even: x_i is at an even place (0, 2, ...) in x_I
-    while bits:
-        bit = bits & -bits
-        bits ^= bit
-        rest = mask ^ bit
-        for dmask, dcoeff in diffs[bit.bit_length() - 1].items():
-            s = wedge_sign(dmask, rest)
-            if s == 0:
-                continue
-            m = dmask | rest
-            v = acc.get(m, 0) + (dcoeff if (s > 0) == even else -dcoeff)
-            if v:
-                acc[m] = v
-            else:
-                del acc[m]
-        even = not even
-    return acc
-
-
 def degree_monomials(n, d):
     """Degree-d monomial masks over n generators in lexicographic order."""
     return [mask_of(ix) for ix in combinations(range(1, n + 1), d)]
@@ -180,8 +153,8 @@ class CochainBasisReport:
 def betti_numbers(c):
     """One CochainBasisReport per degree 0..dim, from exact ranks.
 
-    The rank of d in degree p is the sparse rank of the integer images
-    L*d(x_I) of the degree-p monomials x_I (see `integer_image`).
+    The rank of d in degree p is the sparse rank of the images d(x_I) of
+    the degree-p monomials x_I, each given as its {mask: coefficient} map.
     Rejects complexes whose differential does not square to zero (i.e.
     algebras failing Jacobi), where the quotient is meaningless.
     """
@@ -189,8 +162,8 @@ def betti_numbers(c):
         raise ValueError("d^2 != 0: %r does not define a complex"
                          % (c.algebra.name,))
     n = c.dim
-    _, diffs = clear_denominators(d.terms for d in c.generator_differentials)
-    ranks = [rank(integer_image(diffs, m) for m in degree_monomials(n, degree))
+    ranks = [rank(c.differential(Multivector(n, {m: 1})).terms
+                  for m in degree_monomials(n, degree))
              for degree in range(n + 1)]
     reports = []
     for degree in range(n + 1):

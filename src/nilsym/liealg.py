@@ -7,9 +7,10 @@ one-parameter families, which must be instantiated before any analysis.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .cecomplex import build_complex, d_squared_violation
-from .linalg import clear_denominators, inverse, relations
+from .linalg import inverse, relations
 
 
 class ParamPoly:
@@ -263,10 +264,11 @@ def upper_central_series(g):
     """
     g._require_instantiated("upper central series")
     n = g.dim
-    _, scaled_rows = clear_denominators(g.brackets.values())
-    # ad[j] lists (i, {k: L * c_ij^k}) for every nonzero [e_i, e_j]
+    scale = lcm(*(c.denominator for row in g.brackets.values() for c in row.values()))
+    # ad[j] lists (i, {k: scale * c_ij^k}) for every nonzero [e_i, e_j]
     ad = [[] for _ in range(n + 1)]
-    for (i, j), scaled in zip(g.brackets, scaled_rows):
+    for (i, j), row in g.brackets.items():
+        scaled = {k: c.numerator * (scale // c.denominator) for k, c in row.items()}
         ad[j].append((i, scaled))
         ad[i].append((j, {k: -c for k, c in scaled.items()}))
     spanning = [{k: 1} for k in range(1, n + 1)]  # Ann(C_0)

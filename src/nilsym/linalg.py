@@ -19,10 +19,7 @@ have not needed.
 `rank` counts the independent vectors and `inverse` reads the relations of
 the unit vectors against the rows of a matrix.  Betti numbers run on
 `rank`, the upper central series on `relations` (it keeps the independent
-vectors) and basis changes on `inverse`.  `clear_denominators` scales a
-family of rational maps by one common lcm, for the callers that build their
-integer vectors out of several of them (d(x_I) from the dx_k, the central
-series' functionals from the brackets).
+vectors) and basis changes on `inverse`.
 
 `rref` and `kernel_basis` are dense lists of rows of Fractions, with the
 first nonzero pivot and reduced row echelon form; cocycle bases are their
@@ -77,21 +74,11 @@ def rref(rows):
 
 def _integer_row(vector):
     """The nonzero entries of a rational vector times the lcm of their
-    denominators, as {key: int}, and that lcm.  This runs once per vector;
-    doing it through clear_denominators took half as long again."""
+    denominators, as {key: int}, and that lcm."""
     items = vector.items() if isinstance(vector, Mapping) else enumerate(vector)
     entries = [(k, v) for k, v in items if v]
     scale = lcm(*(v.denominator for _, v in entries))
     return {k: v.numerator * (scale // v.denominator) for k, v in entries}, scale
-
-
-def clear_denominators(maps):
-    """(L, [L*m as {key: int} for each map m]) for maps {key: rational},
-    with L the lcm of all their denominators."""
-    maps = list(maps)
-    scale = lcm(*(v.denominator for m in maps for v in m.values()))
-    return scale, [{k: v.numerator * (scale // v.denominator) for k, v in m.items()}
-                   for m in maps]
 
 
 def _subtract(acc, a, b, other):
