@@ -1,6 +1,11 @@
 """Command-line front end: load catalogs or builtins, run the exact checks,
 emit stable human tables and machine JSON.
 
+`check`, `symplectic`, `contact` and `report` all build their rows with one
+`_analyze`, which runs the named parts of the analysis on one algebra; the
+first three print a row with `_print_row`, and `report` analyzes its
+entries one after another and prints one line per row.
+
 Exit codes: 0 success (or "admits"), 1 honest negative verdict / failed
 verification, 2 parse or usage errors.  JSON output is deterministic
 (sorted keys, no timing data); timings only appear in the human text.
@@ -12,7 +17,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .catalog import (CatalogError, builtin, parse_catalog_file, parse_form)
@@ -68,6 +72,11 @@ def _fmt_ints(values):
     return ",".join(str(v) for v in values)
 
 
+def _times_a(g):
+    """g x a: g with a one-dimensional abelian factor appended."""
+    return direct_product(g, builtin("abelian:1"))
+
+
 def _symplectic_report(g, space):
     verdict = symplectic_decide(g)
     out = {
@@ -94,7 +103,7 @@ def _claimed_form_report(g, kind, expr):
     out = {"kind": kind, "expr": expr}
     try:
         has_y = bool(_HAS_Y.search(expr))
-        target = direct_product(g, builtin("abelian:1")) if has_y else g
+        target = _times_a(g) if has_y else g
         form = parse_form(expr, g.dim, has_y)
         report = verify_claimed_form(target, form, kind)
         out["passed"] = report.passed
@@ -105,26 +114,32 @@ def _claimed_form_report(g, kind, expr):
     return out
 
 
-def _analyze(g, entry=None, decisions=True):
-    """One RunReport row; timing is returned separately from the row."""
+def _analyze(g, entry, parts):
+    """One row for g and its time in ms, which the row never carries.
+
+    `parts` names what to run: "check" (Jacobi, the upper central series and
+    the Betti numbers), "symplectic" (on g in even dimension, on g x a in
+    odd) and "contact" (odd dimension only).  The decisions and the entry's
+    claimed forms run only when Jacobi holds or was not checked.
+    """
     start = time.perf_counter()
     row = {"name": g.name, "dim": g.dim}
-    bad = jacobi_violation(g)
-    row["jacobi"] = bad is None
-    if bad is not None:
-        row["jacobi_violation"] = list(bad)
-    else:
-        ucs = upper_central_series(g)
-        row["ucs_dims"] = list(ucs.dims)
-        row["nilpotent"] = ucs.is_nilpotent
-        row["betti"] = [r.betti for r in betti_numbers(build_complex(g))]
-        if decisions:
-            if g.dim % 2 == 0:
-                row["symplectic"] = _symplectic_report(g, "g")
-            else:
-                ga = direct_product(g, builtin("abelian:1"))
-                row["symplectic"] = _symplectic_report(ga, "g x a")
-                row["contact"] = _contact_report(g)
+    if "check" in parts:
+        bad = jacobi_violation(g)
+        row["jacobi"] = bad is None
+        if bad is not None:
+            row["jacobi_violation"] = list(bad)
+        else:
+            ucs = upper_central_series(g)
+            row["ucs_dims"] = list(ucs.dims)
+            row["nilpotent"] = ucs.is_nilpotent
+            row["betti"] = [r.betti for r in betti_numbers(build_complex(g))]
+    if row.get("jacobi", True):
+        if "symplectic" in parts:
+            row["symplectic"] = (_symplectic_report(g, "g") if g.dim % 2 == 0
+                                 else _symplectic_report(_times_a(g), "g x a"))
+        if "contact" in parts and g.dim % 2:
+            row["contact"] = _contact_report(g)
         if entry is not None and entry.claimed_forms:
             row["claimed_forms"] = [
                 _claimed_form_report(g, kind, expr)
@@ -146,18 +161,11 @@ def _bool_word(flag):
     return "yes" if flag else "no"
 
 
-# ---- subcommands -----------------------------------------------------------
-
-
-def _cmd_check(args):
-    rows = []
-    all_jacobi = True
-    for g, entry in _load_selection(args):
-        row, ms = _analyze(g, entry, decisions=False)
-        rows.append(row)
-        all_jacobi &= row["jacobi"]
-        print("algebra: %s" % row["name"])
-        print("dim: %d" % row["dim"])
+def _print_row(row, ms):
+    """The text of check, symplectic and contact: lines for the row's keys."""
+    print("algebra: %s" % row["name"])
+    print("dim: %d" % row["dim"])
+    if "jacobi" in row:
         print("jacobi: %s" % _bool_word(row["jacobi"]))
         if not row["jacobi"]:
             print("jacobi violated at: (%s)" % _fmt_ints(row["jacobi_violation"]))
@@ -165,59 +173,57 @@ def _cmd_check(args):
             print("ucs: %s" % _fmt_ints(row["ucs_dims"]))
             print("nilpotent: %s" % _bool_word(row["nilpotent"]))
             print("betti: %s" % _fmt_ints(row["betti"]))
-        print("time: %d ms" % ms)
+    sym = row.get("symplectic")
+    if sym:
+        print("symplectic: %s" % _bool_word(sym["admits"]))
+        if sym["admits"]:
+            print("witness: %s" % sym["witness"])
+        else:
+            print("certificate: Pfaffian ≡ 0 (%d cocycle variables, degree %d)"
+                  % (sym["pfaffian_nvars"], sym["pfaffian_degree"]))
+    con = row.get("contact")
+    if con:
+        print("contact: %s" % _bool_word(con["admits"]))
+        if con["admits"]:
+            print("witness: %s" % con["witness"])
+    print("time: %d ms" % ms)
+
+
+# ---- subcommands -----------------------------------------------------------
+
+
+def _cmd_check(args):
+    rows = []
+    for g, entry in _load_selection(args):
+        row, ms = _analyze(g, entry, ("check",))
+        rows.append(row)
+        _print_row(row, ms)
     if args.json:
         _write_json(args.json, {"algebras": rows})
-    return EXIT_OK if all_jacobi else EXIT_NO
+    return EXIT_OK if all(row["jacobi"] for row in rows) else EXIT_NO
 
 
-def _cmd_symplectic(args):
+def _cmd_decide(args, kind):
     g, _ = _single_selection(args)
-    if args.times_a:
-        g = direct_product(g, builtin("abelian:1"))
-    if g.dim % 2:
-        raise ValueError("dimension %d is odd; symplectic needs an even total "
-                         "dimension (try --times-a)" % g.dim)
-    start = time.perf_counter()
-    report = _symplectic_report(g, "g")
-    ms = int((time.perf_counter() - start) * 1000)
-    row = {"name": g.name, "dim": g.dim, "symplectic": report}
-    print("algebra: %s" % g.name)
-    print("dim: %d" % g.dim)
-    print("symplectic: %s" % _bool_word(report["admits"]))
-    if report["admits"]:
-        print("witness: %s" % report["witness"])
-    else:
-        print("certificate: Pfaffian ≡ 0 (%d cocycle variables, degree %d)"
-              % (report["pfaffian_nvars"], report["pfaffian_degree"]))
-    print("time: %d ms" % ms)
-    if args.json:
-        _write_json(args.json, row)
-    return EXIT_OK if report["admits"] else EXIT_NO
-
-
-def _cmd_contact(args):
-    g, _ = _single_selection(args)
-    if g.dim % 2 == 0:
+    if kind == "symplectic":
+        if args.times_a:
+            g = _times_a(g)
+        if g.dim % 2:
+            raise ValueError("dimension %d is odd; symplectic needs an even "
+                             "total dimension (try --times-a)" % g.dim)
+    elif g.dim % 2 == 0:
         raise ValueError("dimension %d is even; contact needs odd dimension"
                          % g.dim)
-    start = time.perf_counter()
-    report = _contact_report(g)
-    ms = int((time.perf_counter() - start) * 1000)
-    print("algebra: %s" % g.name)
-    print("dim: %d" % g.dim)
-    print("contact: %s" % _bool_word(report["admits"]))
-    if report["admits"]:
-        print("witness: %s" % report["witness"])
-    print("time: %d ms" % ms)
+    row, ms = _analyze(g, None, (kind,))
+    _print_row(row, ms)
     if args.json:
-        _write_json(args.json, {"name": g.name, "dim": g.dim, "contact": report})
-    return EXIT_OK if report["admits"] else EXIT_NO
+        _write_json(args.json, row)
+    return EXIT_OK if row[kind]["admits"] else EXIT_NO
 
 
 def _cmd_verify_form(args):
     g, _ = _single_selection(args)
-    target = direct_product(g, builtin("abelian:1")) if args.times_a else g
+    target = _times_a(g) if args.times_a else g
     form = parse_form(args.form, g.dim, has_y=args.times_a)
     report = verify_claimed_form(target, form, args.kind)
     print("algebra: %s" % target.name)
@@ -235,17 +241,12 @@ def _cmd_verify_form(args):
 
 
 def _worker_count():
-    raw = os.environ.get("NILSYM_THREADS")
-    if raw is None or not raw.strip():
-        return os.cpu_count() or 1
-    if not raw.strip().isdigit() or int(raw) < 1:
-        raise ValueError("NILSYM_THREADS must be a positive integer, got %r" % raw)
-    return int(raw)
+    """Entries `report` analyzes at once: one, since it runs them in turn."""
+    return 1
 
 
 def _cmd_report(args):
     directory = args.dir
-    workers = _worker_count()
     try:
         names = sorted(n for n in os.listdir(directory) if n.endswith(".cat"))
     except OSError as exc:
@@ -259,34 +260,20 @@ def _cmd_report(args):
                 work.append((fname, entry))
         except (CatalogError, OSError) as exc:
             errors.append({"file": fname, "error": str(exc)})
-
-    def run(item):
-        fname, entry = item
+    results = []  # (row, ms)
+    for fname, entry in work:
         try:
-            g = entry.algebra()
-            row, ms = _analyze(g, entry, decisions=True)
-            row["file"] = fname
-            return row, ms, None
+            row, ms = _analyze(entry.algebra(), entry,
+                               ("check", "symplectic", "contact"))
         except (CatalogError, ValueError) as exc:
-            return None, 0, {"file": fname, "entry": entry.name, "error": str(exc)}
-
-    if work:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, work))
-    else:
-        results = []
-    rows = []
-    timings = {}
-    for row, ms, err in results:
-        if err is not None:
-            errors.append(err)
-        else:
-            rows.append(row)
-            timings[(row["dim"], row["name"])] = ms
-    rows.sort(key=lambda r: (r["dim"], r["name"]))
+            errors.append({"file": fname, "entry": entry.name, "error": str(exc)})
+            continue
+        row["file"] = fname
+        results.append((row, ms))
+    results.sort(key=lambda pair: (pair[0]["dim"], pair[0]["name"]))
 
     flagged = False
-    for row in rows:
+    for row, ms in results:
         bits = ["%-16s" % row["name"], "dim=%d" % row["dim"],
                 "jacobi=%s" % _bool_word(row["jacobi"])]
         if row["jacobi"]:
@@ -306,12 +293,13 @@ def _cmd_report(args):
                     flagged = True
         else:
             flagged = True
-        bits.append("time=%dms" % timings[(row["dim"], row["name"])])
+        bits.append("time=%dms" % ms)
         print("  ".join(bits))
     for err in errors:
         print("error: %s" % json.dumps(err, sort_keys=True), file=sys.stderr)
     if args.json:
-        _write_json(args.json, {"algebras": rows, "errors": errors})
+        _write_json(args.json, {"algebras": [row for row, _ in results],
+                                "errors": errors})
     return EXIT_ERROR if (errors or flagged) else EXIT_OK
 
 
@@ -345,11 +333,11 @@ def build_parser():
     _add_source(p)
     p.add_argument("--times-a", action="store_true",
                    help="decide on g x a (one-dimensional factor appended)")
-    p.set_defaults(func=_cmd_symplectic)
+    p.set_defaults(func=lambda args: _cmd_decide(args, "symplectic"))
 
     p = sub.add_parser("contact", help="decide existence of a contact form")
     _add_source(p)
-    p.set_defaults(func=_cmd_contact)
+    p.set_defaults(func=lambda args: _cmd_decide(args, "contact"))
 
     p = sub.add_parser("verify-form",
                        help="verify a claimed symplectic/contact form")

@@ -211,12 +211,7 @@ def contact_polynomial(g):
     complex_ = build_complex(g)
     diffs = complex_.generator_differentials
     L = _denominator_lcm(diffs)
-    d_alpha = {}
-    for i, dxi in enumerate(diffs):
-        for mask, c in dxi.terms.items():
-            num = c.numerator * (L // c.denominator)
-            if num:
-                d_alpha.setdefault(mask, {})[(i,)] = num
+    d_alpha = _generic_combination(diffs, L)
     alpha = {1 << i: {(i,): 1} for i in range(g.dim)}
     full_mask = (1 << g.dim) - 1
     acc = {0: {(): 1}}
@@ -247,7 +242,9 @@ def verify_claimed_form(g, form, kind):
     """Check a user-claimed form against its definition, check by check.
 
     symplectic: d(form) = 0 and form^(dim/2) != 0.
-    contact:    form ^ (d form)^((dim-1)/2) != 0.
+    contact:    form ^ (d form)^((dim-1)/2) != 0, in dimension 3 or more;
+                in dimension 1 there is no d-form factor, and the contact
+                decision answers "no" there, so a claimed form is an error.
     """
     g._require_instantiated("form verification")
     if form.dim != g.dim:
@@ -265,6 +262,9 @@ def verify_claimed_form(g, form, kind):
     elif kind == "contact":
         if g.dim % 2 == 0:
             raise ValueError("contact form on even-dimensional %s" % g.name)
+        if g.dim == 1:
+            raise ValueError("contact form on one-dimensional %s; contact needs "
+                             "dimension 3 or more" % g.name)
         if not form.is_homogeneous(1):
             raise ValueError("contact candidate must be homogeneous of degree 1")
         n = (g.dim - 1) // 2

@@ -139,6 +139,13 @@ def test_verify_form_contact(capsys):
     assert "result: pass" in out
 
 
+def test_verify_form_contact_in_dimension_one_exits_two(capsys):
+    code, _, err = run(capsys, "verify-form", "--builtin", "abelian:1",
+                       "--form", "x1", "--kind", "contact")
+    assert code == 2
+    assert "one-dimensional" in err
+
+
 def test_verify_form_bad_index_exits_two(capsys):
     code, _, err = run(capsys, "verify-form", "--builtin", "g13457C",
                        "--form", "x9^x1", "--kind", "symplectic", "--times-a")
@@ -238,23 +245,48 @@ def test_report_number_over_the_int_digit_limit_is_an_error_row(tmp_path, capsys
                               "is over the limit of 4300")
 
 
-def test_report_json_deterministic(tmp_path, capsys, monkeypatch):
+def test_report_json_deterministic(tmp_path, capsys):
     (tmp_path / "cats").mkdir()
     (tmp_path / "cats" / "a.cat").write_text(
         "algebra h3\ndim 3\nbracket [2,3] = e1\nform contact \"x1\"\nend\n")
     first = tmp_path / "r1.json"
     second = tmp_path / "r2.json"
-    monkeypatch.setenv("NILSYM_THREADS", "2")
     assert run(capsys, "report", str(tmp_path / "cats"), "--json", str(first))[0] == 0
     assert run(capsys, "report", str(tmp_path / "cats"), "--json", str(second))[0] == 0
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_report_rejects_bad_thread_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("NILSYM_THREADS", "zero")
-    code, _, err = run(capsys, "report", str(tmp_path))
+def test_report_times_rows_that_share_a_name(tmp_path, capsys, monkeypatch):
+    # Names are unique only within one file; each row keeps its own time.
+    for fname in ("a.cat", "b.cat"):
+        (tmp_path / fname).write_text(
+            "algebra h3\ndim 3\nbracket [2,3] = e1\nend\n")
+    analyze = cli._analyze
+    times = iter([7, 8])
+
+    def timed(g, entry, *args, **kwargs):
+        row, _ = analyze(g, entry, *args, **kwargs)
+        return row, next(times)
+
+    monkeypatch.setattr(cli, "_analyze", timed)
+    code, out, _ = run(capsys, "report", str(tmp_path))
+    assert code == 0
+    assert "time=7ms" in out
+    assert "time=8ms" in out
+
+
+def test_report_contact_form_in_dimension_one_fails(tmp_path, capsys):
+    (tmp_path / "line.cat").write_text(
+        'algebra line\ndim 1\nform contact "x1"\nend\n')
+    out_json = tmp_path / "report.json"
+    code, out, _ = run(capsys, "report", str(tmp_path), "--json", str(out_json))
     assert code == 2
-    assert "NILSYM_THREADS" in err
+    assert "contact=no" in out
+    assert "forms=0/1 pass" in out
+    [row] = json.loads(out_json.read_text())["algebras"]
+    [form] = row["claimed_forms"]
+    assert form["passed"] is False
+    assert "one-dimensional" in form["error"]
 
 
 def test_json_output_for_single_algebra(tmp_path, capsys):
@@ -292,3 +324,32 @@ def test_verify_form_on_instantiated_family(tmp_path, capsys):
                        "--kind", "symplectic")
     assert code == 0
     assert "result: pass" in out
+
+
+def test_per_algebra_text_is_pinned(tmp_path, capsys):
+    path = tmp_path / "bad.cat"
+    path.write_text(VIOLATOR_CAT)
+    cases = [
+        (("check", "--builtin", "heisenberg:5"), 0,
+         ["algebra: heisenberg:5", "dim: 5", "jacobi: yes", "ucs: 1,5",
+          "nilpotent: yes", "betti: 1,4,5,5,4,1"]),
+        (("check", str(path)), 1,
+         ["algebra: badjacobi", "dim: 3", "jacobi: no",
+          "jacobi violated at: (1,2,3)"]),
+        (("symplectic", "--builtin", "heisenberg:5", "--times-a"), 1,
+         ["algebra: heisenberg:5 x abelian:1", "dim: 6", "symplectic: no",
+          "certificate: Pfaffian ≡ 0 (10 cocycle variables, degree 3)"]),
+        (("symplectic", "--builtin", "abelian:5", "--times-a"), 0,
+         ["algebra: abelian:5 x abelian:1", "dim: 6", "symplectic: yes",
+          "witness: x1^y + x2^x5 + x3^x4"]),
+        (("contact", "--builtin", "heisenberg:7"), 0,
+         ["algebra: heisenberg:7", "dim: 7", "contact: yes", "witness: x1"]),
+        (("contact", "--builtin", "abelian:5"), 1,
+         ["algebra: abelian:5", "dim: 5", "contact: no"]),
+    ]
+    for argv, expected_code, expected_lines in cases:
+        code, out, _ = run(capsys, *argv)
+        lines = out.splitlines()
+        assert code == expected_code, argv
+        assert lines[-1].startswith("time: ") and lines[-1].endswith(" ms"), argv
+        assert lines[:-1] == expected_lines, argv

@@ -246,6 +246,8 @@ def test_verify_claimed_form_parity_and_degree_errors():
         verify_claimed_form(builtin("abelian:5"), mono(5, 1, 2), "symplectic")
     with pytest.raises(ValueError):
         verify_claimed_form(builtin("abelian:4"), mono(4, 1), "contact")
+    with pytest.raises(ValueError, match="one-dimensional"):
+        verify_claimed_form(builtin("abelian:1"), mono(1, 1), "contact")
     with pytest.raises(ValueError):
         verify_claimed_form(builtin("abelian:4"), mono(4, 1), "symplectic")
     with pytest.raises(ValueError):
