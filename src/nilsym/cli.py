@@ -209,8 +209,9 @@ def _cmd_decide(args, kind):
         if args.times_a:
             g = _times_a(g)
         if g.dim % 2:
+            hint = "drop --times-a" if args.times_a else "try --times-a"
             raise ValueError("dimension %d is odd; symplectic needs an even "
-                             "total dimension (try --times-a)" % g.dim)
+                             "total dimension (%s)" % (g.dim, hint))
     elif g.dim % 2 == 0:
         raise ValueError("dimension %d is even; contact needs odd dimension"
                          % g.dim)

@@ -6,6 +6,13 @@ and test the single top-degree coefficient for identical vanishing.  A "no"
 is therefore a proof, not a sampling failure; a "yes" comes with a rational
 witness found on a deterministic grid.
 
+The top coefficient is expanded one perfect matching at a time: each step
+wedges on only the 2-form terms that cover the lowest index not yet covered,
+which is the row expansion of the Pfaffian.  Each matching is reached once,
+so the m! orderings of omega^m are never built.  In dimension 2m there are
+C(2m - s, s) monomials after step s, where expanding every ordering keeps
+all C(2m, 2s).
+
 A polynomial with rational coefficients vanishes identically over the reals
 iff it is the zero polynomial, so deciding over the formal polynomial ring
 is sound and complete for real existence, and rational witnesses suffice.
@@ -91,41 +98,51 @@ def _generic_combination(basis, L):
     return gen
 
 
-def _gwedge(a, b, full_mask=None):
-    out = {}
-    for m1, p1 in a.items():
-        for m2, p2 in b.items():
-            if m1 & m2:
-                continue
-            m = m1 | m2
-            if full_mask is not None and m != full_mask:
-                continue
-            s = wedge_sign(m1, m2)
-            dst = out.setdefault(m, {})
-            for k1, c1 in p1.items():
-                for k2, c2 in p2.items():
-                    c = c1 * c2 if s > 0 else -(c1 * c2)
-                    key = tuple(sorted(k1 + k2))
-                    prev = dst.get(key)
-                    if prev is None:
-                        dst[key] = c
-                    else:
-                        v = prev + c
+def _wedge_matchings(start, omega, steps):
+    """start ^ omega^steps / steps!, one perfect matching at a time.
+
+    Each step wedges on only the terms of the 2-form omega whose lowest
+    index is the lowest index not yet in the monomial.  This is the row
+    expansion of the Pfaffian: a top-degree term of start ^ omega^steps is a
+    term of start and a perfect matching of the indices it leaves, reached
+    in steps! orders, of which exactly one takes the pairs by increasing
+    lowest index.  So each matching comes out once and nothing is divided
+    out.  Only the full-mask coefficient of the result is that of
+    start ^ omega^steps / steps!; the others are partial sums.
+    """
+    by_low = {}
+    for mask, p in omega.items():
+        by_low.setdefault(mask & -mask, []).append((mask, p))
+    acc = start
+    for _ in range(steps):
+        out = {}
+        for m1, p1 in acc.items():
+            for m2, p2 in by_low.get(~m1 & (m1 + 1), ()):
+                if m1 & m2:
+                    continue
+                s = wedge_sign(m1, m2)
+                dst = out.setdefault(m1 | m2, {})
+                for k1, c1 in p1.items():
+                    for k2, c2 in p2.items():
+                        c = c1 * c2 if s > 0 else -(c1 * c2)
+                        key = tuple(sorted(k1 + k2))
+                        v = dst.get(key, 0) + c
                         if v:
                             dst[key] = v
                         else:
                             del dst[key]
-    return {m: p for m, p in out.items() if p}
+        acc = {m: p for m, p in out.items() if p}
+    return acc
 
 
-def _top_coefficient(acc, dim, nvars, denominator):
+def _top_coefficient(acc, dim, nvars, scale):
     full_mask = (1 << dim) - 1
     terms = {}
     for key, c in acc.get(full_mask, {}).items():
         exps = [0] * nvars
         for i in key:
             exps[i] += 1
-        terms[tuple(exps)] = Fraction(c, denominator)
+        terms[tuple(exps)] = c * scale
     return MPoly(nvars, terms)
 
 
@@ -138,7 +155,9 @@ def pfaffian_polynomial(g):
     Returns (p, basis): basis is the degree-2 cocycle basis beta_1..beta_k,
     and p(t) is the top-degree coefficient of (sum t_i beta_i)^m divided by
     m!, a degree-m polynomial in k variables.  p is identically zero iff no
-    closed 2-form on g has full rank.
+    closed 2-form on g has full rank.  It is expanded one perfect matching
+    of the 2m indices at a time (the Pfaffian's row expansion), so no m!
+    orderings are built and none is divided out.
     """
     _require_jacobi(g, "the symplectic decision")
     if g.dim % 2:
@@ -149,11 +168,8 @@ def pfaffian_polynomial(g):
     basis = cocycle_basis(complex_, 2)
     L = _denominator_lcm(basis)
     omega = _generic_combination(basis, L)
-    full_mask = (1 << g.dim) - 1
-    acc = {0: {(): 1}}
-    for step in range(m):
-        acc = _gwedge(acc, omega, full_mask if step == m - 1 else None)
-    p = _top_coefficient(acc, g.dim, len(basis), L ** m * factorial(m))
+    acc = _wedge_matchings({0: {(): 1}}, omega, m)
+    p = _top_coefficient(acc, g.dim, len(basis), Fraction(1, L ** m))
     return p, basis
 
 
@@ -199,7 +215,9 @@ def contact_polynomial(g):
     degree-(n+1) polynomial in dim variables, identically zero iff no
     1-form satisfies the contact inequality.  Dimension 1 returns the zero
     polynomial: with no d-alpha factor available the inequality cannot
-    encode non-integrability there.
+    encode non-integrability there.  The expansion takes alpha first and
+    then one perfect matching of the indices it leaves at a time, which
+    gives alpha ^ (d alpha)^n / n!; the result is multiplied back by n!.
     """
     _require_jacobi(g, "the contact decision")
     if g.dim % 2 == 0:
@@ -213,12 +231,8 @@ def contact_polynomial(g):
     L = _denominator_lcm(diffs)
     d_alpha = _generic_combination(diffs, L)
     alpha = {1 << i: {(i,): 1} for i in range(g.dim)}
-    full_mask = (1 << g.dim) - 1
-    acc = {0: {(): 1}}
-    for _ in range(n):
-        acc = _gwedge(acc, d_alpha)
-    acc = _gwedge(alpha, acc, full_mask)
-    return _top_coefficient(acc, g.dim, g.dim, L ** n)
+    acc = _wedge_matchings(alpha, d_alpha, n)
+    return _top_coefficient(acc, g.dim, g.dim, Fraction(factorial(n), L ** n))
 
 
 def contact_decide(g):

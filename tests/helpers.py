@@ -296,3 +296,11 @@ def oracle_contact_poly(g):
                 key = tuple(exps)
                 terms[key] = terms.get(key, Fraction(0)) + c
     return MPoly(n2, {e: v for e, v in terms.items() if v})
+
+
+def filiform(n):
+    """The standard filiform algebra [e1, ei] = e_{i+1}, as in test_filiform."""
+    from nilsym import LieAlgebra
+
+    return LieAlgebra("filiform:%d" % n, n,
+                      {(1, i): {i + 1: 1} for i in range(2, n)})

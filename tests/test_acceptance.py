@@ -218,3 +218,22 @@ def test_criterion_9_report_determinism(tmp_path, capsys):
         assert cli.main(["report", str(CATALOG_DIR), "--json", str(second)]) == 0
         capsys.readouterr()
         assert first.read_bytes() == second.read_bytes()
+
+
+def test_criterion_10_heisenberg_family_times_a():
+    with criterion(10, "heisenberg:2n+1 x a is not symplectic for n >= 2, "
+                       "heisenberg:2n+1 is contact, n = 1..7"):
+        start = time.perf_counter()
+        for n in range(1, 8):
+            h = builtin("heisenberg:%d" % (2 * n + 1))
+            v = symplectic_decide(times_a(h))
+            if n == 1:  # Kodaira-Thurston
+                assert v.admits and v.certificate_kind == "witness"
+                assert v.pfaffian_nvars == 5
+            else:
+                assert not v.admits and v.witness is None
+                assert v.certificate_kind == "identically-zero-pfaffian"
+                assert v.pfaffian_nvars == comb(2 * n + 1, 2)
+            assert v.pfaffian_degree == n + 1
+            assert contact_decide(h).admits
+        assert time.perf_counter() - start < 10.0

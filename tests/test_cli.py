@@ -87,6 +87,16 @@ def test_symplectic_odd_dimension_exits_two(capsys):
     code, _, err = run(capsys, "symplectic", "--builtin", "heisenberg:5")
     assert code == 2
     assert "odd" in err
+    assert "(try --times-a)" in err
+
+
+def test_symplectic_times_a_on_even_dimension_suggests_dropping_it(capsys):
+    code, out, err = run(capsys, "symplectic", "--builtin", "abelian:4",
+                         "--times-a")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: dimension 5 is odd; symplectic needs an even "
+                   "total dimension (drop --times-a)\n")
 
 
 def test_contact_heisenberg7(capsys):

@@ -65,6 +65,28 @@ def test_pfaffian_g13457C_times_a_matches_brute_expansion():
     assert p.is_zero
 
 
+def seeded_images(g, seed, count=2):
+    rng = random.Random(seed)
+    return [change_basis(g, random_invertible(rng, g.dim)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("name,factor", [
+    ("heisenberg:3", True), ("heisenberg:5", True), ("abelian:6", False),
+    ("g13457C", True)])
+def test_pfaffian_of_basis_changes_matches_brute_expansion(name, factor):
+    g = times_a(name) if factor else builtin(name)
+    for gc in seeded_images(g, 64):
+        p, basis = pfaffian_polynomial(gc)
+        assert p == oracle_pfaffian(basis, gc.dim, gc.dim // 2)
+
+
+@pytest.mark.parametrize("name", [
+    "heisenberg:3", "heisenberg:5", "g13457C", "heisenberg:7"])
+def test_contact_polynomial_of_basis_changes_matches_brute_expansion(name):
+    for gc in seeded_images(builtin(name), 65):
+        assert contact_polynomial(gc) == oracle_contact_poly(gc)
+
+
 def test_pfaffian_rejects_odd_dimension_and_violators():
     with pytest.raises(ValueError):
         pfaffian_polynomial(builtin("abelian:5"))
