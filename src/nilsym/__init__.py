@@ -8,9 +8,9 @@ ship a rational witness form.
 
 from .exterior import Multivector, indices_of, mask_of, wedge_sign
 from .mpoly import MPoly, find_nonvanishing_point
-from .liealg import (LieAlgebra, ParamPoly, UcsProfile, change_basis,
-                     direct_product, instantiate_params, jacobi_holds,
-                     jacobi_violation, upper_central_series)
+from .liealg import (LieAlgebra, UcsProfile, change_basis, direct_product,
+                     instantiate_params, jacobi_holds, jacobi_violation,
+                     upper_central_series)
 from .cecomplex import (CEComplex, CochainBasisReport, betti_numbers,
                         build_complex, cocycle_basis, d_squared_is_zero)
 from .detect import (ContactVerdict, FormCheckReport, SymplecticVerdict,
@@ -24,7 +24,7 @@ from .catalog import (CatalogEntry, CatalogError, builtin, parse_catalog,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Multivector", "MPoly", "LieAlgebra", "ParamPoly", "UcsProfile",
+    "Multivector", "MPoly", "LieAlgebra", "UcsProfile",
     "CEComplex", "CochainBasisReport", "SymplecticVerdict", "ContactVerdict",
     "FormCheckReport", "CatalogEntry", "CatalogError",
     "mask_of", "indices_of", "wedge_sign", "find_nonvanishing_point",

@@ -12,14 +12,15 @@ ignored):
     end
 
 Coefficients are rationals (`p`, `p/q`), `lambda` monomials, or
-parenthesized lambda-polynomials like `(2*lambda-1)`.  The total power of
-`lambda` in one monomial (`lambda^40*lambda^30` counts 70) is at most
-MAX_LAMBDA_POWER; a higher power is a CatalogError, raised before any
-coefficient list is built.  A number longer than Python converts to an int
-(sys.get_int_max_str_digits(), 4300 digits by default) is a CatalogError
-with its line.  Form expressions use
-the grammar `term ((+|-) term)*` with `term := [rational "*"] gen ("^"
-gen)*` and `gen := x<int> | y`.
+parenthesized lambda-polynomials like `(2*lambda-1)`, held as one-variable
+MPolys; one whose lambda-terms cancel is held as the constant it leaves.
+The total power of `lambda` in one monomial (`lambda^40*lambda^30` counts
+70) is at most MAX_LAMBDA_POWER; a higher power is a CatalogError, raised
+before any polynomial is built.  A number longer than Python converts to
+an int (sys.get_int_max_str_digits(), 4300 digits by default) is a
+CatalogError with its line.  Form expressions use the grammar
+`term ((+|-) term)*` with `term := [rational "*"] gen ("^" gen)*` and
+`gen := x<int> | y`.
 """
 
 import re
@@ -28,7 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exterior import Multivector, wedge_sign
-from .liealg import LieAlgebra, ParamPoly, instantiate_params
+from .liealg import LieAlgebra, instantiate_params, lambda_coeff
+from .mpoly import MPoly
 
 
 class CatalogError(ValueError):
@@ -149,19 +151,15 @@ def _parse_simple_coeff(s, param, line, sign=1):
     if power:
         if param is None:
             raise CatalogError("'lambda' used without a param declaration", line)
-        if coeff == 0:
-            return Fraction(0)
-        return ParamPoly(param, [0] * power + [coeff])
+        return MPoly(1, {(power,): coeff})
     return coeff
 
 
 def _parse_coeff(text, param, line):
     s = text.strip()
     if s.startswith("(") and s.endswith(")"):
-        total = Fraction(0)
-        for sign, term in _signed_terms(s[1:-1], line):
-            total = total + _parse_simple_coeff(term, param, line, sign)
-        return total
+        return sum((_parse_simple_coeff(term, param, line, sign)
+                    for sign, term in _signed_terms(s[1:-1], line)), Fraction(0))
     return _parse_simple_coeff(s, param, line)
 
 
@@ -178,10 +176,9 @@ def _parse_bracket_rhs(text, dim, param, line):
         c = Fraction(1) if coef is None else _parse_coeff(coef, param, line)
         if sign < 0:
             c = -c
-        prev = combo.get(k, Fraction(0))
-        combo[k] = prev + c
-    return {k: c for k, c in combo.items()
-            if not (isinstance(c, Fraction) and c == 0)}
+        combo[k] = combo.get(k, Fraction(0)) + c
+    combo = {k: lambda_coeff(c) for k, c in combo.items()}
+    return {k: c for k, c in combo.items() if c}
 
 
 @dataclass
@@ -219,24 +216,39 @@ class CatalogEntry:
         return "\n".join(lines)
 
 
+def _scaled(mag, text):
+    return text if mag == 1 else "%s*%s" % (mag, text)
+
+
+def _lambda_power(d):
+    return "lambda" if d == 1 else "lambda^%d" % d
+
+
+def _render_lambda(p):
+    """A lambda-polynomial by descending degree with no spaces, e.g.
+    `lambda^3-1/3`; the caller parenthesizes it."""
+    out = ""
+    for (d,), c in sorted(p.terms.items(), reverse=True):
+        body = _scaled(abs(c), _lambda_power(d)) if d else str(abs(c))
+        out += ("-" if c < 0 else "+" if out else "") + body
+    return out
+
+
 def _render_combo(combo):
+    """Targets in order; a constant or lambda-monomial coefficient comes out
+    bare with its sign (`- 2*lambda^2*e4`), a longer polynomial in
+    parentheses (`+ (2*lambda-1)*e3`)."""
     parts = []
     for k in sorted(combo):
         c = combo[k]
-        if isinstance(c, ParamPoly):
-            if c.is_monomial():
-                body = c.render()
-                neg = body.startswith("-")
-                if neg:
-                    body = body[1:]
-                body = "%s*e%d" % (body, k)
-            else:
-                neg = False
-                body = "(%s)*e%d" % (c.render(), k)
+        target = "e%d" % k
+        if isinstance(c, MPoly) and len(c.terms) > 1:
+            neg, body = False, "(%s)*%s" % (_render_lambda(c), target)
         else:
-            neg = c < 0
-            mag = abs(c)
-            body = "e%d" % k if mag == 1 else "%s*e%d" % (mag, k)
+            if isinstance(c, MPoly):
+                ((d,), c), = c.terms.items()
+                target = "%s*%s" % (_lambda_power(d), target)
+            neg, body = c < 0, _scaled(abs(c), target)
         if not parts:
             parts.append("-" + body if neg else body)
         else:

@@ -17,9 +17,9 @@ import os
 import re
 import sys
 import time
-from fractions import Fraction
 
-from .catalog import (CatalogError, builtin, parse_catalog_file, parse_form)
+from .catalog import (CatalogError, _parse_rational, builtin,
+                      parse_catalog_file, parse_form)
 from .cecomplex import betti_numbers, build_complex
 from .detect import contact_decide, symplectic_decide, verify_claimed_form
 from .liealg import direct_product, instantiate_params, jacobi_violation, \
@@ -38,7 +38,10 @@ def _parse_bindings(pairs):
         name, eq, value = pair.partition("=")
         if not eq or not name or not value:
             raise ValueError("--param expects name=rational, got %r" % pair)
-        bindings[name.strip()] = Fraction(value.strip())
+        try:
+            bindings[name.strip()] = _parse_rational(value)
+        except CatalogError as exc:
+            raise ValueError("--param %s: %s" % (name.strip(), exc)) from None
     return bindings
 
 

@@ -1,8 +1,10 @@
 """Lie algebras over the rationals given by sparse structure constants.
 
 Brackets are stored only for i < j (1-based); [e_j, e_i] = -[e_i, e_j] is
-synthesized.  Coefficients are Fractions, or ParamPoly values for
-one-parameter families, which must be instantiated before any analysis.
+synthesized.  Coefficients are Fractions or, in one-parameter families,
+one-variable MPolys in the parameter (`lambda_coeff` turns one that does
+not depend on it into a Fraction); a family must be instantiated before
+any analysis.
 """
 
 from dataclasses import dataclass
@@ -11,119 +13,18 @@ from math import lcm
 
 from .cecomplex import build_complex, d_squared_violation
 from .linalg import inverse, relations
+from .mpoly import MPoly
 
 
-class ParamPoly:
-    """A polynomial in one named structure-constant parameter.
-
-    coeffs[d] is the Fraction on parameter^d; trailing zeros are trimmed, so
-    a ParamPoly is never a plain constant (those are stored as Fractions).
-    """
-
-    __slots__ = ("name", "coeffs")
-
-    def __init__(self, name, coeffs):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.name = name
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def parameter(cls, name):
-        return cls(name, (0, 1))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def __call__(self, value):
-        value = value if isinstance(value, Fraction) else Fraction(value)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
-
-    def _coerce(self, other):
-        if isinstance(other, ParamPoly):
-            if other.name != self.name:
-                raise ValueError("mixed parameters %r and %r" % (self.name, other.name))
-            return other
-        return ParamPoly(self.name, (other,))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        cs = [(self.coeffs[i] if i < len(self.coeffs) else 0)
-              + (other.coeffs[i] if i < len(other.coeffs) else 0) for i in range(n)]
-        out = ParamPoly(self.name, cs)
-        return out if out.coeffs else Fraction(0)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ParamPoly(self.name, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        cs = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1) \
-            if self.coeffs and other.coeffs else []
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                cs[i + j] += a * b
-        out = ParamPoly(self.name, cs)
-        return out if out.coeffs else Fraction(0)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, ParamPoly):
-            return self.name == other.name and self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name, self.coeffs))
-
-    def render(self):
-        """Canonical text: terms by descending degree, e.g. `2*lambda-1`.
-
-        Single monomials come out bare (`lambda`, `-2*lambda^2`); anything
-        longer is meant to be parenthesized by the caller.
-        """
-        parts = []
-        for d in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[d]
-            if not c:
-                continue
-            mag = abs(c)
-            if d == 0:
-                body = str(mag)
-            else:
-                var = self.name if d == 1 else "%s^%d" % (self.name, d)
-                body = var if mag == 1 else "%s*%s" % (mag, var)
-            if not parts:
-                parts.append("-" + body if c < 0 else body)
-            else:
-                parts.append(("-" if c < 0 else "+") + body)
-        return "".join(parts) or "0"
-
-    def __repr__(self):
-        return "ParamPoly(%r, %s)" % (self.name, self.render())
-
-    def is_monomial(self):
-        return sum(1 for c in self.coeffs if c) == 1
-
-
-def _coeff(value):
-    if isinstance(value, (Fraction, ParamPoly)):
-        return value
-    return Fraction(value)
+def lambda_coeff(value):
+    """A structure constant as stored: a Fraction, or an MPoly in the one
+    parameter when it still depends on it.  An MPoly whose parameter terms
+    have cancelled becomes its constant Fraction."""
+    if isinstance(value, MPoly):
+        if value.total_degree() > 0:
+            return value
+        value = value.terms.get((0,) * value.nvars, 0)
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 class LieAlgebra:
@@ -164,11 +65,9 @@ class LieAlgebra:
             for k, c in combo.items():
                 if not 1 <= k <= dim:
                     raise ValueError("bracket target e%d outside 1..%d" % (k, dim))
-                c = _coeff(c)
-                if sign < 0:
-                    c = -c
-                if not (isinstance(c, Fraction) and c == 0):
-                    row[k] = c
+                c = lambda_coeff(c)
+                if c:
+                    row[k] = -c if sign < 0 else c
             if row:
                 table[(i, j)] = row
         self.brackets = table
@@ -177,7 +76,7 @@ class LieAlgebra:
 
     @property
     def has_free_params(self):
-        return any(isinstance(c, ParamPoly)
+        return any(isinstance(c, MPoly)
                    for row in self.brackets.values() for c in row.values())
 
     def _require_instantiated(self, what):
@@ -365,10 +264,10 @@ def instantiate_params(g, bindings):
     for key, row in g.brackets.items():
         combo = {}
         for k, c in row.items():
-            if isinstance(c, ParamPoly):
-                if c.name not in bindings:
-                    raise ValueError("parameter %r is unbound" % c.name)
-                c = c(bindings[c.name])
+            if isinstance(c, MPoly):
+                if g.param not in bindings:
+                    raise ValueError("parameter %r is unbound" % g.param)
+                c = c.evaluate([bindings[g.param]])
             if c:
                 combo[k] = c
         if combo:

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from nilsym import (CatalogError, Multivector, ParamPoly, builtin,
+from nilsym import (CatalogError, MPoly, Multivector, builtin, cli,
                     jacobi_holds, parse_catalog, parse_form, render_catalog,
                     render_form, upper_central_series)
 from helpers import random_multivector
@@ -99,7 +100,7 @@ def test_parse_lambda_coefficients():
     e = parse_catalog(text)[0]
     assert e.param == "lambda"
     assert e.param_exclusions == (Fraction(0), Fraction(1, 2))
-    lam = ParamPoly.parameter("lambda")
+    lam = MPoly.variable(1, 0)
     assert e.brackets[(1, 2)][3] == lam
     assert e.brackets[(1, 3)][3] == 2 * lam - 1
     g = e.algebra({"lambda": Fraction(1)})
@@ -120,7 +121,7 @@ def test_parse_bare_param_line_and_quadratic_lambda():
             "bracket [1,2] = lambda^2*e3 + (1-lambda^2)*e2\nend\n")
     e = parse_catalog(text)[0]
     assert e.param == "lambda" and e.param_exclusions == ()
-    lam = ParamPoly.parameter("lambda")
+    lam = MPoly.variable(1, 0)
     assert e.brackets[(1, 2)][3] == lam * lam
     assert e.brackets[(1, 2)][2] == 1 - lam * lam
     g = e.algebra({"lambda": Fraction(2)})
@@ -129,13 +130,28 @@ def test_parse_bare_param_line_and_quadratic_lambda():
     assert parse_catalog(e.render() + "\n") == [e]
 
 
+def test_lambda_terms_that_cancel_leave_a_constant(tmp_path, capsys):
+    def text(coef):
+        return ("algebra g\ndim 3\nparam lambda\n"
+                "bracket [1,2] = %s*e3 + e2\nend\n" % coef)
+
+    e = parse_catalog(text("(1 + lambda - lambda)"))[0]
+    assert e.brackets[(1, 2)][3] == Fraction(1)
+    path = tmp_path / "g.cat"
+    path.write_text(text("(1 + lambda - lambda)"))
+    assert cli.main(["check", str(path)]) == 0  # no --param needed
+    assert "jacobi: yes" in capsys.readouterr().out
+    e = parse_catalog(text("(lambda - lambda)"))[0]
+    assert e.brackets[(1, 2)] == {2: Fraction(1)}
+
+
 def test_parse_lambda_power_limit():
     def parse(coef):
         return parse_catalog("algebra g\ndim 3\nparam lambda\n"
                              "bracket [1,2] = %s*e3\nend\n" % coef)
 
     assert (parse("lambda^64")[0].brackets[(1, 2)][3]
-            == ParamPoly("lambda", [0] * 64 + [1]))
+            == MPoly(1, {(64,): 1}))
     for coef in ("lambda^65", "lambda^40*lambda^30", "(1 + lambda^65)"):
         with pytest.raises(CatalogError) as exc:
             parse(coef)
@@ -200,6 +216,67 @@ def test_render_parse_round_trip_is_canonical():
 def test_render_canonical_layout():
     e = parse_catalog("algebra g\ndim 3\nbracket [1,2] = -e3\nend\n")[0]
     assert e.render() == "algebra g\ndim 3\nbracket [1,2] = -e3\nend"
+
+
+def test_render_lambda_coefficients_pinned():
+    text = ("algebra fam\ndim 4\nparam lambda\n"
+            "bracket [1,3] = (-1/3 + lambda^3)*e4 + (2*lambda - 1)*e3 + e2\n"
+            "bracket [1,2] = lambda*e3 - 2*lambda*lambda*e4\nend\n")
+    lines = render_catalog(parse_catalog(text)).splitlines()
+    assert "bracket [1,3] = e2 + (2*lambda-1)*e3 + (lambda^3-1/3)*e4" in lines
+    assert "bracket [1,2] = lambda*e3 - 2*lambda^2*e4" in lines
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+# one coefficient per degree 0..4 of a lambda-polynomial
+lambda_polys = st.lists(small_rationals, min_size=1, max_size=5)
+
+
+@st.composite
+def lambda_entries(draw):
+    """Catalog text of a dim-5 family whose brackets have several targets,
+    each a lambda-polynomial written term by term in a drawn order, with
+    the polynomials it was written from."""
+    brackets = {}
+    lines = ["algebra fam", "dim 5", "param lambda exclude {%s}"
+             % ", ".join(str(x) for x in draw(st.lists(small_rationals,
+                                                       max_size=2)))]
+    pairs = draw(st.lists(st.sampled_from([(1, 2), (1, 3), (2, 4), (3, 4)]),
+                          min_size=1, max_size=3, unique=True))
+    for i, j in pairs:
+        targets = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3,
+                                unique=True))
+        terms = []
+        for k in targets:
+            coeffs = draw(lambda_polys)
+            brackets[(i, j, k)] = coeffs
+            monos = ["%s*lambda^%d" % (abs(c), d) if d else str(abs(c))
+                     for d, c in enumerate(coeffs)]
+            signs = ["-" if c < 0 else "+" for c in coeffs]
+            order = draw(st.permutations(range(len(coeffs))))
+            body = " ".join(signs[d] + " " + monos[d] for d in order)
+            terms.append("(%s)*e%d" % (body, k))
+        lines.append("bracket [%d,%d] = %s" % (i, j, " + ".join(terms)))
+    return "\n".join(lines + ["end"]) + "\n", brackets
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(lambda_entries(), small_rationals)
+def test_lambda_render_parse_round_trip_and_evaluation(case, r):
+    text, polys = case
+    entries = parse_catalog(text)
+    canonical = render_catalog(entries)
+    assert parse_catalog(canonical) == entries
+    assert render_catalog(parse_catalog(canonical)) == canonical
+    (entry,) = entries
+    assume(r not in entry.param_exclusions)
+    g = entry.algebra({"lambda": r})
+    expected = {}
+    for (i, j, k), coeffs in polys.items():
+        value = sum(c * r ** d for d, c in enumerate(coeffs))
+        if value:
+            expected.setdefault((i, j), {})[k] = value
+    assert g.brackets == expected
 
 
 # ---- builtins ----------------------------------------------------------------

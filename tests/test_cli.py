@@ -176,6 +176,19 @@ def test_param_binding_through_cli(tmp_path, capsys):
     assert "excluded" in err
 
 
+def test_param_value_is_a_catalog_rational(tmp_path, capsys):
+    path = tmp_path / "fam.cat"
+    path.write_text(FAMILY_CAT)
+    # Fraction() would take 1e100000000 as a number and build it
+    for value in ("1e100000000", "0.25", "1/0", "7" * 4301):
+        code, _, err = run(capsys, "check", str(path), "--param",
+                           "lambda=" + value)
+        assert code == 2
+        assert err.startswith("error: --param lambda: ")
+    code, out, _ = run(capsys, "check", str(path), "--param", "lambda= 1/2 ")
+    assert code == 0 and "jacobi: yes" in out
+
+
 def test_catalog_selection_by_name(tmp_path, capsys):
     path = tmp_path / "two.cat"
     path.write_text("algebra one\ndim 2\nend\n\nalgebra two\ndim 3\n"
