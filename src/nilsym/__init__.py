@@ -15,8 +15,8 @@ from .cecomplex import (CEComplex, CochainBasisReport, betti_numbers,
                         build_complex, cocycle_basis, d_squared_is_zero)
 from .detect import (ContactVerdict, FormCheckReport, SymplecticVerdict,
                      contact_decide, contact_polynomial, pfaffian_polynomial,
-                     product_symplectic_witness, skew_gram_matrix,
-                     symplectic_decide, verify_claimed_form)
+                     product_symplectic_witness, symplectic_decide,
+                     verify_claimed_form)
 from .catalog import (CatalogEntry, CatalogError, builtin, parse_catalog,
                       parse_catalog_file, parse_form, render_catalog,
                       render_form)
@@ -32,7 +32,7 @@ __all__ = [
     "direct_product", "change_basis", "instantiate_params",
     "build_complex", "d_squared_is_zero", "cocycle_basis",
     "betti_numbers", "symplectic_decide", "contact_decide",
-    "pfaffian_polynomial", "contact_polynomial", "skew_gram_matrix",
+    "pfaffian_polynomial", "contact_polynomial",
     "product_symplectic_witness", "verify_claimed_form",
     "builtin", "parse_catalog", "parse_catalog_file", "parse_form",
     "render_catalog", "render_form",

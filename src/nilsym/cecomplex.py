@@ -9,16 +9,26 @@ the first violating triple off the 3-forms d(dx_k); this is the package's
 only Jacobi check.
 
 Betti numbers come from ranks of d, computed by the sparse fraction-free
-eliminator (`linalg.rank`) on the images d(x_I) of the degree-p monomials,
-each a {monomial mask: coefficient} map; rank scales each image to integers
-once, and does not change under transpose, so no dense matrix is built for
-them.  Cocycle bases still go through the dense `differential_matrix`.
+eliminator (`linalg.rank`), so no dense matrix is built for them.  The
+generator differentials are scaled to integers once, by the lcm of their
+denominators; a common scale changes no rank.  The images of the degree-p
+monomials are built from those of degree p-1 by the Leibniz rule: for x_I
+with lowest index i and rest J, d(x_I) = dx_i ^ x_J - x_i ^ d(x_J).  On a
+unimodular algebra (tr ad_x = 0 for every x, which holds for every
+nilpotent one) rank d_p = rank d_{n-1-p} (Koszul 1950; Hazewinkel, "A
+duality theorem for cohomology of Lie algebras", 1970), so only the degrees
+p <= (n-1)/2 are built and ranked.  Other algebras rank every degree:
+[e1, e2] = e2 has b = (1, 1, 0), which the duality would get wrong.
+
+Cocycle bases still go through the dense `differential_matrix` and `rref`:
+building them with `linalg.relations` raises the benchmark's `peak_rss_mb`
+reading until its set-up collects garbage (see `linalg`).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 from .exterior import Multivector, mask_of, indices_of, wedge_sign
 from .linalg import kernel_basis, rank
@@ -150,11 +160,67 @@ class CochainBasisReport:
         return self.dim_cocycles - self.dim_coboundaries
 
 
+def is_unimodular(g):
+    """Whether tr ad_{e_i} = 0 for every i, read off the structure constants.
+
+    [e_i, e_j] with i < j adds its e_j coefficient to tr ad_{e_i} and, as
+    [e_j, e_i] = -[e_i, e_j], minus its e_i coefficient to tr ad_{e_j}.
+    """
+    trace = [0] * (g.dim + 1)
+    for (i, j), row in g.brackets.items():
+        trace[i] += row.get(j, 0)
+        trace[j] -= row.get(i, 0)
+    return not any(trace)
+
+
+def integer_differentials(c):
+    """(scale, diffs): diffs[k-1] is scale * dx_k as a {mask: int} map, and
+    scale is the lcm of the denominators of every dx_k."""
+    terms = [d.terms for d in c.generator_differentials]
+    scale = lcm(*(v.denominator for t in terms for v in t.values()))
+    return scale, [{m: v.numerator * (scale // v.denominator) for m, v in t.items()}
+                   for t in terms]
+
+
+def leibniz_images(diffs, n, top):
+    """Yield, for p = 0..top, {x_I: D(x_I)} over the degree-p monomial
+    masks in lex order, where D is the derivation with D(x_k) = diffs[k-1].
+
+    x_I with lowest index i and rest J has
+    D(x_I) = D(x_i) ^ x_J - x_i ^ D(x_J), and D(x_J) is the previous
+    degree's image, so each degree costs one pass.
+    """
+    prev = {0: {}}
+    yield prev
+    for p in range(1, top + 1):
+        images = {}
+        for mask in degree_monomials(n, p):
+            low = mask & -mask
+            rest = mask ^ low
+            acc = {}
+            for dm, dc in diffs[low.bit_length() - 1].items():
+                if not dm & rest:
+                    m = dm | rest
+                    acc[m] = acc.get(m, 0) + (dc if wedge_sign(dm, rest) > 0 else -dc)
+            below = low - 1
+            for m, v in prev[rest].items():
+                if not m & low:
+                    # x_i moves past the indices of m below i
+                    key = m | low
+                    acc[key] = acc.get(key, 0) + (v if (m & below).bit_count() & 1 else -v)
+            images[mask] = {m: v for m, v in acc.items() if v}
+        yield images
+        prev = images
+
+
 def betti_numbers(c):
     """One CochainBasisReport per degree 0..dim, from exact ranks.
 
-    The rank of d in degree p is the sparse rank of the images d(x_I) of
-    the degree-p monomials x_I, each given as its {mask: coefficient} map.
+    The rank of d in degree p is the sparse rank of the integer images
+    scale * d(x_I) of the degree-p monomials x_I, built by the Leibniz rule
+    from degree p-1.  On a unimodular algebra only the degrees
+    p <= (dim-1)/2 are ranked and rank d_p = rank d_{dim-1-p} gives the
+    rest; otherwise every degree is ranked.  d is zero on the top degree.
     Rejects complexes whose differential does not square to zero (i.e.
     algebras failing Jacobi), where the quotient is meaningless.
     """
@@ -162,9 +228,12 @@ def betti_numbers(c):
         raise ValueError("d^2 != 0: %r does not define a complex"
                          % (c.algebra.name,))
     n = c.dim
-    ranks = [rank(c.differential(Multivector(n, {m: 1})).terms
-                  for m in degree_monomials(n, degree))
-             for degree in range(n + 1)]
+    top = (n - 1) // 2 if is_unimodular(c.algebra) else n - 1
+    _, diffs = integer_differentials(c)
+    ranks = [rank(image for image in images.values() if image)
+             for images in leibniz_images(diffs, n, top)]
+    ranks += [ranks[n - 1 - p] for p in range(top + 1, n)]
+    ranks.append(0)
     reports = []
     for degree in range(n + 1):
         cochains = comb(n, degree)

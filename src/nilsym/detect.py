@@ -192,19 +192,6 @@ def symplectic_decide(g):
     return SymplecticVerdict(True, witness, len(basis), m, "witness")
 
 
-def skew_gram_matrix(form):
-    """The antisymmetric matrix [form(e_i, e_j)] of a 2-form."""
-    if not form.is_homogeneous(2):
-        raise ValueError("need a homogeneous 2-form")
-    n = form.dim
-    matrix = [[Fraction(0)] * n for _ in range(n)]
-    for mask, c in form.terms.items():
-        i, j = indices_of(mask)
-        matrix[i - 1][j - 1] = c
-        matrix[j - 1][i - 1] = -c
-    return matrix
-
-
 # ---- contact -------------------------------------------------------------
 
 

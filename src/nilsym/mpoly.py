@@ -122,14 +122,6 @@ class MPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power")
-        out = MPoly.constant(self.nvars, 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
     # ---- queries ----
 
     @property

@@ -9,7 +9,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from nilsym import MPoly, Multivector, UcsProfile, mask_of
+from nilsym import MPoly, Multivector, UcsProfile, indices_of, mask_of
 from nilsym.linalg import kernel_basis, rref
 
 
@@ -184,6 +184,20 @@ def det(rows):
                 f = m[i][c] * inv
                 m[i] = [a - f * b for a, b in zip(m[i], row_c)]
     return out
+
+
+def skew_gram_matrix(form):
+    """The antisymmetric matrix [form(e_i, e_j)] of a 2-form; with `det`
+    it is the oracle for "Pf^2 = det"."""
+    if not form.is_homogeneous(2):
+        raise ValueError("need a homogeneous 2-form")
+    n = form.dim
+    matrix = [[Fraction(0)] * n for _ in range(n)]
+    for mask, c in form.terms.items():
+        i, j = indices_of(mask)
+        matrix[i - 1][j - 1] = c
+        matrix[j - 1][i - 1] = -c
+    return matrix
 
 
 def oracle_rank(rows):

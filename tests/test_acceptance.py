@@ -14,10 +14,11 @@ from pathlib import Path
 from nilsym import (LieAlgebra, Multivector, betti_numbers, build_complex,
                     builtin, change_basis, contact_decide, d_squared_is_zero,
                     direct_product, jacobi_violation, pfaffian_polynomial,
-                    parse_form, product_symplectic_witness, skew_gram_matrix,
-                    symplectic_decide, verify_claimed_form)
+                    parse_form, product_symplectic_witness, symplectic_decide,
+                    verify_claimed_form)
 from nilsym import cli
-from helpers import det, oracle_jacobi_violation, random_invertible, rnd_fraction
+from helpers import (det, oracle_jacobi_violation, random_invertible, rnd_fraction,
+                     skew_gram_matrix)
 
 BUNDLED = (["abelian:%d" % n for n in range(1, 7)]
            + ["heisenberg:%d" % n for n in (3, 5, 7)] + ["g13457C"])

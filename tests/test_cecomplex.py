@@ -9,9 +9,11 @@ from nilsym import (LieAlgebra, Multivector, betti_numbers, build_complex,
                     builtin, change_basis, cocycle_basis, d_squared_is_zero,
                     direct_product, jacobi_holds, jacobi_violation,
                     parse_catalog_file)
-from nilsym.cecomplex import differential_matrix
+from nilsym.cecomplex import (degree_monomials, differential_matrix,
+                              integer_differentials, is_unimodular,
+                              leibniz_images)
 from helpers import (oracle_jacobi_violation, oracle_rank, random_invertible,
-                     random_multivector)
+                     random_multivector, rnd_nonzero_fraction)
 
 BUNDLED = ("abelian:1", "abelian:2", "abelian:3", "abelian:4", "abelian:5",
            "heisenberg:3", "heisenberg:5", "heisenberg:7", "g13457C")
@@ -206,18 +208,92 @@ def filiform(n):
                       {(1, i): {i + 1: Fraction(1)} for i in range(2, n)})
 
 
+def oracle_algebras():
+    return ([e.algebra() for e in parse_catalog_file(BUNDLED_CATALOG)]
+            + [filiform(n) for n in range(4, 9)])
+
+
 def test_betti_invariant_under_change_of_basis_and_matches_oracle():
     # Basis changes fill the differential with non-unit fractions, which
     # the fixtures alone do not.
     rng = random.Random(61)
-    algebras = ([e.algebra() for e in parse_catalog_file(BUNDLED_CATALOG)]
-                + [filiform(n) for n in range(4, 9)])
-    for g in algebras:
+    for g in oracle_algebras():
         expected = betti(g)
         for _ in range(20):
             c = build_complex(change_basis(g, random_invertible(rng, g.dim)))
             assert [r.betti for r in betti_numbers(c)] == expected
             assert oracle_betti(c) == expected
+
+
+def test_leibniz_images_are_the_scaled_differential():
+    # Every monomial of every degree, on basis changes whose differentials
+    # carry non-unit fractions, so the common scale is exercised.
+    rng = random.Random(62)
+    scales = set()
+    for g in oracle_algebras():
+        for _ in range(3):
+            c = build_complex(change_basis(g, random_invertible(rng, g.dim)))
+            n = c.dim
+            scale, diffs = integer_differentials(c)
+            scales.add(scale)
+            assert all(type(v) is int for d in diffs for v in d.values())
+            for p, images in enumerate(leibniz_images(diffs, n, n)):
+                assert list(images) == degree_monomials(n, p)
+                for mask, image in images.items():
+                    expected = scale * c.differential(Multivector(n, {mask: 1}))
+                    assert Multivector(n, image) == expected
+    assert max(scales) > 1
+
+
+def r2():
+    """The non-abelian 2-dimensional algebra [e1, e2] = e2."""
+    return LieAlgebra("r2", 2, {(1, 2): {2: 1}})
+
+
+def test_betti_non_unimodular_ranks_every_degree():
+    # Duality would mirror the ranks and get all three wrong.
+    line = builtin("abelian:1")
+    cases = [
+        (r2(), [1, 1, 0]),
+        (LieAlgebra("r3", 3, {(1, 2): {2: 1}, (1, 3): {3: 1}}), [1, 1, 0, 0]),
+        (direct_product(direct_product(r2(), line), line), [1, 3, 3, 1, 0]),
+    ]
+    rng = random.Random(64)
+    for g, expected in cases:
+        assert not is_unimodular(g)
+        assert betti(g) == oracle_betti(build_complex(g)) == expected
+        for _ in range(5):
+            h = change_basis(g, random_invertible(rng, g.dim))
+            assert not is_unimodular(h)
+            assert betti(h) == oracle_betti(build_complex(h)) == expected
+
+
+def test_betti_unimodular_but_not_nilpotent_uses_duality():
+    e2 = LieAlgebra("e(2)", 3, {(1, 3): {2: -1}, (2, 3): {1: 1}})
+    sl2 = LieAlgebra("sl2", 3, {(1, 2): {2: 2}, (1, 3): {3: -2}, (2, 3): {1: 1}})
+    for g, expected in ((e2, [1, 1, 1, 1]), (sl2, [1, 0, 0, 1])):
+        assert is_unimodular(g)
+        assert betti(g) == oracle_betti(build_complex(g)) == expected
+
+
+def test_unimodular_iff_d_vanishes_on_degree_n_minus_1():
+    # d: degree n-1 -> degree n is dual to x -> tr ad_x, for any bracket.
+    rng = random.Random(63)
+    seen = {True: 0, False: 0}
+    while min(seen.values()) < 10:
+        dim = rng.randint(2, 5)
+        brackets = {}
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randint(1, dim - 1)
+            j = rng.randint(i + 1, dim)
+            brackets.setdefault((i, j), {})[rng.randint(1, dim)] = rnd_nonzero_fraction(rng)
+        g = LieAlgebra("rand", dim, brackets)
+        for h in (g, change_basis(g, random_invertible(rng, dim))):
+            c = build_complex(h)
+            closed = all(not c.differential(Multivector(dim, {m: 1}))
+                         for m in degree_monomials(dim, dim - 1))
+            assert is_unimodular(h) == closed
+            seen[closed] += 1
 
 
 def test_betti_heisenberg_closed_form():
