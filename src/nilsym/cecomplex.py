@@ -8,17 +8,25 @@ component of the Jacobiator of (e_i, e_j, e_l), so d_squared_violation reads
 the first violating triple off the 3-forms d(dx_k); this is the package's
 only Jacobi check.
 
-Betti numbers come from ranks of d, computed by the sparse fraction-free
-eliminator (`linalg.rank`), so no dense matrix is built for them.  The
-generator differentials are scaled to integers once, by the lcm of their
-denominators; a common scale changes no rank.  The images of the degree-p
-monomials are built from those of degree p-1 by the Leibniz rule: for x_I
-with lowest index i and rest J, d(x_I) = dx_i ^ x_J - x_i ^ d(x_J).  On a
-unimodular algebra (tr ad_x = 0 for every x, which holds for every
-nilpotent one) rank d_p = rank d_{n-1-p} (Koszul 1950; Hazewinkel, "A
-duality theorem for cohomology of Lie algebras", 1970), so only the degrees
-p <= (n-1)/2 are built and ranked.  Other algebras rank every degree:
-[e1, e2] = e2 has b = (1, 1, 0), which the duality would get wrong.
+There is one complex per algebra object: `build_complex` stores it on the
+algebra, so the Jacobi check, Betti numbers, cocycles, the contact
+polynomial and form verification all read the same one.  It is the only
+implementation of d.  The generator differentials are scaled to integers
+once, by the lcm of their denominators (`scale`), and the complex keeps the
+integer images scale * d(x_I) one degree at a time, each built on first use
+from the degree below by the Leibniz rule: for x_I with lowest index i and
+rest J, d(x_I) = dx_i ^ x_J - x_i ^ d(x_J).  `CEComplex.differential` is a
+sum over those images divided by `scale`, and the d^2 verdict is computed
+once per complex.
+
+Betti numbers come from ranks of the images, computed by the sparse
+fraction-free eliminator (`linalg.rank`), so no dense matrix is built for
+them; a common scale changes no rank.  On a unimodular algebra
+(tr ad_x = 0 for every x, which holds for every nilpotent one)
+rank d_p = rank d_{n-1-p} (Koszul 1950; Hazewinkel, "A duality theorem for
+cohomology of Lie algebras", 1970), so only the degrees p <= (n-1)/2 are
+built and ranked.  Other algebras rank every degree: [e1, e2] = e2 has
+b = (1, 1, 0), which the duality would get wrong.
 
 Cocycle bases still go through the dense `differential_matrix` and `rref`:
 building them with `linalg.relations` raises the benchmark's `peak_rss_mb`
@@ -35,71 +43,99 @@ from .linalg import kernel_basis, rank
 
 
 class CEComplex:
-    """Differential data for one algebra; immutable after construction."""
+    """The complex of one algebra: its generator differentials, and the
+    integer images of d and the d^2 verdict, each filled in on first use.
 
-    __slots__ = ("algebra", "generator_differentials")
+    It keeps the algebra's name, dimension and unimodularity, not the
+    algebra itself, which holds the complex: a reference back would make a
+    cycle that only the cyclic garbage collector frees.
+    """
+
+    __slots__ = ("name", "dim", "unimodular", "generator_differentials",
+                 "scale", "_images", "_violation")
 
     def __init__(self, algebra, generator_differentials):
-        self.algebra = algebra
+        self.name = algebra.name
+        self.dim = algebra.dim
+        self.unimodular = is_unimodular(algebra)
         self.generator_differentials = tuple(generator_differentials)
+        terms = [d.terms for d in self.generator_differentials]
+        self.scale = lcm(*(v.denominator for t in terms for v in t.values()))
+        self._images = {0: {0: {}}, 1: {
+            1 << k: {m: v.numerator * (self.scale // v.denominator)
+                     for m, v in t.items()}
+            for k, t in enumerate(terms)}}
+        self._violation = None  # (verdict,) once d_squared_violation has run
 
-    @property
-    def dim(self):
-        return self.algebra.dim
+    def images(self, p):
+        """{x_I: scale * d(x_I)} over the degree-p monomial masks in lex
+        order, each image a {mask: int} map.  Callers must not modify them.
+
+        A degree not built yet is built from the one below: x_I with lowest
+        index i and rest J has d(x_I) = dx_i ^ x_J - x_i ^ d(x_J), and d(x_J)
+        is the previous degree's image, so each degree costs one pass.
+        """
+        cache = self._images  # degrees 0 .. len(cache) - 1
+        for q in range(len(cache), p + 1):
+            prev, images = cache[q - 1], {}
+            for mask in degree_monomials(self.dim, q):
+                low = mask & -mask
+                rest = mask ^ low
+                acc = {}
+                for dm, dc in cache[1][low].items():
+                    if not dm & rest:
+                        m = dm | rest
+                        acc[m] = acc.get(m, 0) + (dc if wedge_sign(dm, rest) > 0 else -dc)
+                below = low - 1
+                for m, v in prev[rest].items():
+                    if not m & low:
+                        # x_i moves past the indices of m below i
+                        key = m | low
+                        acc[key] = acc.get(key, 0) + (v if (m & below).bit_count() & 1 else -v)
+                images[mask] = {m: v for m, v in acc.items() if v}
+            cache[q] = images
+        return cache[p]
 
     def differential(self, f):
-        """Graded-derivation extension of the generator differentials.
-
-        On a monomial x_{i_1}..x_{i_p} this is
-        sum_t (-1)^(t-1) dx_{i_t} ^ (monomial with i_t removed).
-        """
+        """d(f): the sum over the terms c x_I of f of c * d(x_I), read off
+        the integer images and divided by `scale`."""
         if f.dim != self.dim:
             raise ValueError("ambient dimension mismatch: %d vs %d"
                              % (f.dim, self.dim))
         acc = {}
-        diffs = self.generator_differentials
         for mask, coeff in f.terms.items():
-            idxs = indices_of(mask)
-            for t, i in enumerate(idxs):
-                d_i = diffs[i - 1]
-                if not d_i.terms:
-                    continue
-                rest = mask ^ (1 << (i - 1))
-                c0 = coeff if t % 2 == 0 else -coeff
-                for dmask, dcoeff in d_i.terms.items():
-                    s = wedge_sign(dmask, rest)
-                    if s == 0:
-                        continue
-                    m = dmask | rest
-                    c = c0 * dcoeff if s > 0 else -c0 * dcoeff
-                    prev = acc.get(m)
-                    if prev is None:
-                        acc[m] = c
-                    else:
-                        v = prev + c
-                        if v:
-                            acc[m] = v
-                        else:
-                            del acc[m]
+            for m, v in self.images(mask.bit_count())[mask].items():
+                acc[m] = acc.get(m, 0) + coeff * v
         out = Multivector(self.dim)
-        out.terms = acc
+        out.terms = {m: Fraction(c, self.scale) for m, c in acc.items() if c}
         return out
 
 
 def build_complex(g):
-    """Generator differentials dx_k = -sum_{i<j} c_ij^k x_i x_j."""
-    g._require_instantiated("the differential")
-    n = g.dim
-    diffs = [{} for _ in range(n)]
-    for (i, j), row in g.brackets.items():
-        mask = mask_of((i, j))
-        for k, c in row.items():
-            diffs[k - 1][mask] = diffs[k - 1].get(mask, Fraction(0)) - c
-    return CEComplex(g, [Multivector(n, d) for d in diffs])
+    """The complex of g: built on the first call with the generator
+    differentials dx_k = -sum_{i<j} c_ij^k x_i x_j, stored on g, and
+    returned by every later call."""
+    if g._complex is None:
+        g._require_instantiated("the differential")
+        n = g.dim
+        diffs = [{} for _ in range(n)]
+        for (i, j), row in g.brackets.items():
+            mask = mask_of((i, j))
+            for k, c in row.items():
+                diffs[k - 1][mask] = diffs[k - 1].get(mask, Fraction(0)) - c
+        g._complex = CEComplex(g, [Multivector(n, d) for d in diffs])
+    return g._complex
 
 
 def d_squared_violation(c):
-    """Lex-least index triple of a monomial in some d(dx_k), else None."""
+    """Lex-least index triple of a monomial in some d(dx_k), else None;
+    evaluated once per complex."""
+    if c._violation is None:
+        c._violation = (_first_violation(c),)
+    return c._violation[0]
+
+
+def _first_violation(c):
     return min((indices_of(m) for dxk in c.generator_differentials
                 for m in c.differential(dxk).terms), default=None)
 
@@ -124,10 +160,10 @@ def differential_matrix(c, degree):
     codomain = degree_monomials(n, degree + 1) if degree < n else []
     row_index = {m: r for r, m in enumerate(codomain)}
     matrix = [[Fraction(0)] * len(domain) for _ in codomain]
+    images = c.images(degree)
     for col, mask in enumerate(domain):
-        image = c.differential(Multivector(n, {mask: Fraction(1)}))
-        for m, coeff in image.terms.items():
-            matrix[row_index[m]][col] = coeff
+        for m, v in images[mask].items():
+            matrix[row_index[m]][col] = Fraction(v, c.scale)
     return matrix, domain, codomain
 
 
@@ -173,65 +209,23 @@ def is_unimodular(g):
     return not any(trace)
 
 
-def integer_differentials(c):
-    """(scale, diffs): diffs[k-1] is scale * dx_k as a {mask: int} map, and
-    scale is the lcm of the denominators of every dx_k."""
-    terms = [d.terms for d in c.generator_differentials]
-    scale = lcm(*(v.denominator for t in terms for v in t.values()))
-    return scale, [{m: v.numerator * (scale // v.denominator) for m, v in t.items()}
-                   for t in terms]
-
-
-def leibniz_images(diffs, n, top):
-    """Yield, for p = 0..top, {x_I: D(x_I)} over the degree-p monomial
-    masks in lex order, where D is the derivation with D(x_k) = diffs[k-1].
-
-    x_I with lowest index i and rest J has
-    D(x_I) = D(x_i) ^ x_J - x_i ^ D(x_J), and D(x_J) is the previous
-    degree's image, so each degree costs one pass.
-    """
-    prev = {0: {}}
-    yield prev
-    for p in range(1, top + 1):
-        images = {}
-        for mask in degree_monomials(n, p):
-            low = mask & -mask
-            rest = mask ^ low
-            acc = {}
-            for dm, dc in diffs[low.bit_length() - 1].items():
-                if not dm & rest:
-                    m = dm | rest
-                    acc[m] = acc.get(m, 0) + (dc if wedge_sign(dm, rest) > 0 else -dc)
-            below = low - 1
-            for m, v in prev[rest].items():
-                if not m & low:
-                    # x_i moves past the indices of m below i
-                    key = m | low
-                    acc[key] = acc.get(key, 0) + (v if (m & below).bit_count() & 1 else -v)
-            images[mask] = {m: v for m, v in acc.items() if v}
-        yield images
-        prev = images
-
-
 def betti_numbers(c):
     """One CochainBasisReport per degree 0..dim, from exact ranks.
 
-    The rank of d in degree p is the sparse rank of the integer images
-    scale * d(x_I) of the degree-p monomials x_I, built by the Leibniz rule
-    from degree p-1.  On a unimodular algebra only the degrees
-    p <= (dim-1)/2 are ranked and rank d_p = rank d_{dim-1-p} gives the
-    rest; otherwise every degree is ranked.  d is zero on the top degree.
+    The rank of d in degree p is the sparse rank of the complex's integer
+    images scale * d(x_I) of the degree-p monomials x_I.  On a unimodular
+    algebra only the degrees p <= (dim-1)/2 are ranked and
+    rank d_p = rank d_{dim-1-p} gives the rest; otherwise every degree is
+    ranked.  d is zero on the top degree.
     Rejects complexes whose differential does not square to zero (i.e.
     algebras failing Jacobi), where the quotient is meaningless.
     """
     if not d_squared_is_zero(c):
-        raise ValueError("d^2 != 0: %r does not define a complex"
-                         % (c.algebra.name,))
+        raise ValueError("d^2 != 0: %r does not define a complex" % (c.name,))
     n = c.dim
-    top = (n - 1) // 2 if is_unimodular(c.algebra) else n - 1
-    _, diffs = integer_differentials(c)
-    ranks = [rank(image for image in images.values() if image)
-             for images in leibniz_images(diffs, n, top)]
+    top = (n - 1) // 2 if c.unimodular else n - 1
+    ranks = [rank(image for image in c.images(p).values() if image)
+             for p in range(top + 1)]
     ranks += [ranks[n - 1 - p] for p in range(top + 1, n)]
     ranks.append(0)
     reports = []

@@ -75,24 +75,16 @@ def _require_jacobi(g, what):
 # ---- generic forms with polynomial coefficients -------------------------
 #
 # A generic combination sum_i t_i beta_i is held as {monomial mask ->
-# {sorted variable-index tuple -> int}}.  Denominators of the beta_i are
-# cleared up front so every coefficient operation is plain integer
-# arithmetic; the lcm is divided back out once at the end.
+# {sorted variable-index tuple -> int}}.  The beta_i come in as L * beta_i
+# with integer coefficients, so every coefficient operation is plain integer
+# arithmetic; the power of L is divided back out once at the end.
 
 
-def _denominator_lcm(mvs):
-    L = 1
-    for mv in mvs:
-        for c in mv.terms.values():
-            L = lcm(L, c.denominator)
-    return L
-
-
-def _generic_combination(basis, L):
+def _generic_combination(rows):
+    """sum_i t_i row_i for integer rows {mask: int}."""
     gen = {}
-    for i, b in enumerate(basis):
-        for mask, c in b.terms.items():
-            num = c.numerator * (L // c.denominator)
+    for i, row in enumerate(rows):
+        for mask, num in row.items():
             if num:
                 gen.setdefault(mask, {})[(i,)] = num
     return gen
@@ -164,10 +156,11 @@ def pfaffian_polynomial(g):
         raise ValueError("symplectic check needs even dimension; %s has dim %d"
                          % (g.name, g.dim))
     m = g.dim // 2
-    complex_ = build_complex(g)
-    basis = cocycle_basis(complex_, 2)
-    L = _denominator_lcm(basis)
-    omega = _generic_combination(basis, L)
+    basis = cocycle_basis(build_complex(g), 2)
+    L = lcm(*(c.denominator for b in basis for c in b.terms.values()))
+    omega = _generic_combination(
+        {mask: c.numerator * (L // c.denominator) for mask, c in b.terms.items()}
+        for b in basis)
     acc = _wedge_matchings({0: {(): 1}}, omega, m)
     p = _top_coefficient(acc, g.dim, len(basis), Fraction(1, L ** m))
     return p, basis
@@ -205,6 +198,7 @@ def contact_polynomial(g):
     encode non-integrability there.  The expansion takes alpha first and
     then one perfect matching of the indices it leaves at a time, which
     gives alpha ^ (d alpha)^n / n!; the result is multiplied back by n!.
+    d alpha is read off the complex's degree-1 images L * dx_k, L = scale.
     """
     _require_jacobi(g, "the contact decision")
     if g.dim % 2 == 0:
@@ -214,9 +208,8 @@ def contact_polynomial(g):
         return MPoly(1)
     n = (g.dim - 1) // 2
     complex_ = build_complex(g)
-    diffs = complex_.generator_differentials
-    L = _denominator_lcm(diffs)
-    d_alpha = _generic_combination(diffs, L)
+    L = complex_.scale
+    d_alpha = _generic_combination(complex_.images(1).values())
     alpha = {1 << i: {(i,): 1} for i in range(g.dim)}
     acc = _wedge_matchings(alpha, d_alpha, n)
     return _top_coefficient(acc, g.dim, g.dim, Fraction(factorial(n), L ** n))

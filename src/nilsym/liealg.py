@@ -71,6 +71,7 @@ class LieAlgebra:
             if row:
                 table[(i, j)] = row
         self.brackets = table
+        self._complex = None  # set by cecomplex.build_complex on first use
 
     # ---- parameter state ----
 

@@ -77,11 +77,14 @@ def rref(rows):
 
 def _integer_row(vector):
     """The nonzero entries of a rational vector times the lcm of their
-    denominators, as {key: int}, and that lcm."""
+    denominators, as {key: int}, and that lcm.  A vector of ints, such as
+    the complex's images, is copied as it is, with lcm 1."""
     items = vector.items() if isinstance(vector, Mapping) else enumerate(vector)
-    entries = [(k, v) for k, v in items if v]
-    scale = lcm(*(v.denominator for _, v in entries))
-    return {k: v.numerator * (scale // v.denominator) for k, v in entries}, scale
+    row = {k: v for k, v in items if v}
+    if set(map(type, row.values())) <= {int}:
+        return row, 1
+    scale = lcm(*(v.denominator for v in row.values()))
+    return {k: v.numerator * (scale // v.denominator) for k, v in row.items()}, scale
 
 
 def _subtract(acc, a, b, other):

@@ -9,7 +9,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from nilsym import MPoly, Multivector, UcsProfile, indices_of, mask_of
+from nilsym import (MPoly, Multivector, UcsProfile, indices_of, mask_of,
+                    wedge_sign)
 from nilsym.linalg import kernel_basis, rref
 
 
@@ -318,3 +319,22 @@ def filiform(n):
 
     return LieAlgebra("filiform:%d" % n, n,
                       {(1, i): {i + 1: 1} for i in range(2, n)})
+
+
+def oracle_differential(c, f):
+    """d(f) as the graded-derivation extension of the complex's generator
+    differentials, in Fractions, sharing nothing with its integer images:
+    on a monomial x_{i_1}..x_{i_p} it is
+    sum_t (-1)^(t-1) dx_{i_t} ^ (monomial with i_t removed)."""
+    acc = {}
+    diffs = c.generator_differentials
+    for mask, coeff in f.terms.items():
+        for t, i in enumerate(indices_of(mask)):
+            rest = mask ^ (1 << (i - 1))
+            c0 = coeff if t % 2 == 0 else -coeff
+            for dmask, dcoeff in diffs[i - 1].terms.items():
+                s = wedge_sign(dmask, rest)
+                if s:
+                    m = dmask | rest
+                    acc[m] = acc.get(m, Fraction(0)) + s * c0 * dcoeff
+    return Multivector(c.dim, acc)

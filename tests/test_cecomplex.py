@@ -8,12 +8,12 @@ import pytest
 from nilsym import (LieAlgebra, Multivector, betti_numbers, build_complex,
                     builtin, change_basis, cocycle_basis, d_squared_is_zero,
                     direct_product, jacobi_holds, jacobi_violation,
-                    parse_catalog_file)
+                    parse_catalog, parse_catalog_file)
 from nilsym.cecomplex import (degree_monomials, differential_matrix,
-                              integer_differentials, is_unimodular,
-                              leibniz_images)
-from helpers import (oracle_jacobi_violation, oracle_rank, random_invertible,
-                     random_multivector, rnd_nonzero_fraction)
+                              is_unimodular)
+from helpers import (oracle_differential, oracle_jacobi_violation, oracle_rank,
+                     random_invertible, random_multivector,
+                     rnd_nonzero_fraction)
 
 BUNDLED = ("abelian:1", "abelian:2", "abelian:3", "abelian:4", "abelian:5",
            "heisenberg:3", "heisenberg:5", "heisenberg:7", "g13457C")
@@ -227,22 +227,71 @@ def test_betti_invariant_under_change_of_basis_and_matches_oracle():
 
 def test_leibniz_images_are_the_scaled_differential():
     # Every monomial of every degree, on basis changes whose differentials
-    # carry non-unit fractions, so the common scale is exercised.
+    # carry non-unit fractions, so the common scale is exercised; the
+    # expected images come from the graded-derivation oracle.
     rng = random.Random(62)
     scales = set()
     for g in oracle_algebras():
         for _ in range(3):
             c = build_complex(change_basis(g, random_invertible(rng, g.dim)))
             n = c.dim
-            scale, diffs = integer_differentials(c)
-            scales.add(scale)
-            assert all(type(v) is int for d in diffs for v in d.values())
-            for p, images in enumerate(leibniz_images(diffs, n, n)):
+            scales.add(c.scale)
+            for p in range(n + 1):
+                images = c.images(p)
                 assert list(images) == degree_monomials(n, p)
-                for mask, image in images.items():
-                    expected = scale * c.differential(Multivector(n, {mask: 1}))
-                    assert Multivector(n, image) == expected
+                matrix, domain, codomain = differential_matrix(c, p)
+                for col, (mask, image) in enumerate(images.items()):
+                    assert all(type(v) is int and v for v in image.values())
+                    expected = oracle_differential(c, Multivector(n, {mask: 1}))
+                    assert Multivector(n, image) == c.scale * expected
+                    assert [row[col] for row in matrix] == [
+                        expected.terms.get(m, 0) for m in codomain]
     assert max(scales) > 1
+
+
+def test_differential_matches_oracle_on_mixed_degree_forms():
+    # The images are built on first use, so the order in which degrees are
+    # first asked for must not matter: top degree first (every degree at
+    # once), Betti first (the low half), or the forms themselves first.
+    rng = random.Random(65)
+    for g in oracle_algebras():
+        for warm in ("top", "betti", "cold"):
+            c = build_complex(change_basis(g, random_invertible(rng, g.dim)))
+            n = c.dim
+            if warm == "top":
+                c.differential(Multivector(n, {(1 << n) - 1: 1}))
+            elif warm == "betti":
+                betti_numbers(c)
+            for _ in range(10):
+                f = random_multivector(rng, n, nterms=6)
+                assert c.differential(f) == oracle_differential(c, f)
+
+
+def test_one_complex_per_algebra_object():
+    rng = random.Random(66)
+    g = builtin("g13457C")
+    c = build_complex(g)
+    assert build_complex(g) is c
+    # change_basis keeps the name, so a complex keyed by name would be wrong
+    h = change_basis(g, random_invertible(rng, g.dim))
+    assert h.name == g.name
+    assert build_complex(h) is not c
+    assert build_complex(h) is build_complex(h)
+    assert build_complex(builtin("g13457C")) is not c
+
+
+def test_unbound_family_raises_the_same_error_every_call():
+    g = parse_catalog("algebra fam\ndim 3\nparam lambda\n"
+                      "bracket [1,2] = lambda*e3\nend\n")[0].algebra()
+    for _ in range(2):
+        with pytest.raises(ValueError) as err:
+            build_complex(g)
+        assert str(err.value) == ("the differential requires an instantiated "
+                                  "algebra; parameter 'lambda' is unbound")
+        with pytest.raises(ValueError) as err:
+            jacobi_violation(g)
+        assert str(err.value) == ("Jacobi check requires an instantiated "
+                                  "algebra; parameter 'lambda' is unbound")
 
 
 def r2():

@@ -1,9 +1,14 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from nilsym import cli
+from nilsym import builtin, cecomplex, cli
+
+ROOT = Path(__file__).resolve().parent.parent
 
 VIOLATOR_CAT = """\
 algebra badjacobi
@@ -376,3 +381,46 @@ def test_per_algebra_text_is_pinned(tmp_path, capsys):
         assert code == expected_code, argv
         assert lines[-1].startswith("time: ") and lines[-1].endswith(" ms"), argv
         assert lines[:-1] == expected_lines, argv
+
+
+def test_analyze_builds_one_complex_per_algebra(monkeypatch):
+    # g and, for odd g, g x a: one complex each, and one d^2 evaluation each,
+    # however many of Jacobi, Betti, the decisions and the witness
+    # verification read it.
+    counts = {"complexes": 0, "d_squared": 0}
+    init, first_violation = cecomplex.CEComplex.__init__, cecomplex._first_violation
+
+    def counted_init(self, *args):
+        counts["complexes"] += 1
+        init(self, *args)
+
+    def counted_violation(c):
+        counts["d_squared"] += 1
+        return first_violation(c)
+
+    monkeypatch.setattr(cecomplex.CEComplex, "__init__", counted_init)
+    monkeypatch.setattr(cecomplex, "_first_violation", counted_violation)
+    for name, complexes in (("heisenberg:5", 2), ("abelian:4", 1)):
+        counts.update(complexes=0, d_squared=0)
+        row, _ = cli._analyze(builtin(name), None,
+                              ("check", "symplectic", "contact"))
+        assert row["jacobi"] and "symplectic" in row
+        assert counts == {"complexes": complexes, "d_squared": complexes}
+
+
+def test_report_json_is_the_same_under_any_hash_seed():
+    # Set and dict iteration orders of str keys change with the hash seed,
+    # which in-process repeats of report never vary.
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "nilsym.cli", "report", "catalogs", "--json", "-"],
+            cwd=ROOT, env=env, capture_output=True, timeout=300, check=False)
+        assert proc.returncode == 0, proc.stderr
+        out = proc.stdout
+        outputs.append(out[out.index(b"\n{\n") + 1:])  # the JSON after the table
+    assert json.loads(outputs[0])["algebras"]
+    assert outputs[0] == outputs[1]
