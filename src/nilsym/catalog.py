@@ -151,7 +151,7 @@ def _parse_simple_coeff(s, param, line, sign=1):
     if power:
         if param is None:
             raise CatalogError("'lambda' used without a param declaration", line)
-        return MPoly(1, {(power,): coeff})
+        return MPoly(1, {(0,) * power: coeff})
     return coeff
 
 
@@ -228,8 +228,8 @@ def _render_lambda(p):
     """A lambda-polynomial by descending degree with no spaces, e.g.
     `lambda^3-1/3`; the caller parenthesizes it."""
     out = ""
-    for (d,), c in sorted(p.terms.items(), reverse=True):
-        body = _scaled(abs(c), _lambda_power(d)) if d else str(abs(c))
+    for key, c in sorted(p.terms.items(), reverse=True):
+        body = _scaled(abs(c), _lambda_power(len(key))) if key else str(abs(c))
         out += ("-" if c < 0 else "+" if out else "") + body
     return out
 
@@ -246,8 +246,8 @@ def _render_combo(combo):
             neg, body = False, "(%s)*%s" % (_render_lambda(c), target)
         else:
             if isinstance(c, MPoly):
-                ((d,), c), = c.terms.items()
-                target = "%s*%s" % (_lambda_power(d), target)
+                (key, c), = c.terms.items()
+                target = "%s*%s" % (_lambda_power(len(key)), target)
             neg, body = c < 0, _scaled(abs(c), target)
         if not parts:
             parts.append("-" + body if neg else body)

@@ -30,7 +30,8 @@ b = (1, 1, 0), which the duality would get wrong.
 
 Cocycle bases still go through the dense `differential_matrix` and `rref`:
 building them with `linalg.relations` raises the benchmark's `peak_rss_mb`
-reading until its set-up collects garbage (see `linalg`).
+reading until its set-up collects garbage (see `linalg`; figures in
+CHANGES.md).
 """
 
 from dataclasses import dataclass

@@ -74,10 +74,11 @@ def _require_jacobi(g, what):
 
 # ---- generic forms with polynomial coefficients -------------------------
 #
-# A generic combination sum_i t_i beta_i is held as {monomial mask ->
-# {sorted variable-index tuple -> int}}.  The beta_i come in as L * beta_i
-# with integer coefficients, so every coefficient operation is plain integer
-# arithmetic; the power of L is divided back out once at the end.
+# A generic combination sum_i t_i beta_i is held as {monomial mask -> MPoly
+# term map}: each coefficient maps sorted variable-index tuples to ints.  The
+# beta_i come in as L * beta_i with integer coefficients, so every
+# coefficient operation is plain integer arithmetic; the top coefficient
+# becomes an MPoly and the power of L is divided back out once at the end.
 
 
 def _generic_combination(rows):
@@ -92,6 +93,9 @@ def _generic_combination(rows):
 
 def _wedge_matchings(start, omega, steps):
     """start ^ omega^steps / steps!, one perfect matching at a time.
+
+    start and omega map monomial masks to MPoly term maps with integer
+    coefficients, and so does the result.
 
     Each step wedges on only the terms of the 2-form omega whose lowest
     index is the lowest index not yet in the monomial.  This is the row
@@ -127,17 +131,6 @@ def _wedge_matchings(start, omega, steps):
     return acc
 
 
-def _top_coefficient(acc, dim, nvars, scale):
-    full_mask = (1 << dim) - 1
-    terms = {}
-    for key, c in acc.get(full_mask, {}).items():
-        exps = [0] * nvars
-        for i in key:
-            exps[i] += 1
-        terms[tuple(exps)] = c * scale
-    return MPoly(nvars, terms)
-
-
 # ---- symplectic ----------------------------------------------------------
 
 
@@ -162,7 +155,7 @@ def pfaffian_polynomial(g):
         {mask: c.numerator * (L // c.denominator) for mask, c in b.terms.items()}
         for b in basis)
     acc = _wedge_matchings({0: {(): 1}}, omega, m)
-    p = _top_coefficient(acc, g.dim, len(basis), Fraction(1, L ** m))
+    p = MPoly(len(basis), acc.get((1 << g.dim) - 1)) * Fraction(1, L ** m)
     return p, basis
 
 
@@ -212,7 +205,7 @@ def contact_polynomial(g):
     d_alpha = _generic_combination(complex_.images(1).values())
     alpha = {1 << i: {(i,): 1} for i in range(g.dim)}
     acc = _wedge_matchings(alpha, d_alpha, n)
-    return _top_coefficient(acc, g.dim, g.dim, Fraction(factorial(n), L ** n))
+    return MPoly(g.dim, acc.get((1 << g.dim) - 1)) * Fraction(factorial(n), L ** n)
 
 
 def contact_decide(g):

@@ -23,7 +23,7 @@ def lambda_coeff(value):
     if isinstance(value, MPoly):
         if value.total_degree() > 0:
             return value
-        value = value.terms.get((0,) * value.nvars, 0)
+        value = value.terms.get((), 0)
     return value if isinstance(value, Fraction) else Fraction(value)
 
 

@@ -23,15 +23,12 @@ vectors) and basis changes on `inverse`.
 
 `rref` and `kernel_basis` are dense lists of rows of Fractions, with the
 first nonzero pivot and reduced row echelon form; cocycle bases are their
-only caller.  A prototype that builds Z^2 with `relations` kept the
-benchmark's outputs byte-identical and cut ladder `cpu_s` from 0.393 to
-0.252 s, but raised `peak_rss_mb` past its bound of 0.1 (21.78 -> 25.04 MB
-on ladder, 22.84 -> 25.97 MB on many-small).  The benchmark's set-up leaves
-discarded module copies to the cyclic garbage collector, and a library that
-allocates less triggers fewer of the collections that free them: ladder's
-generation-0 collections fell from 69 to 9.6 per pass.  With a
-`gc.collect()` after the set-up both sides read 20.28 MB after 60 passes.
-So they move once the benchmark collects after its set-up.
+only caller.  A prototype that builds Z^2 with `relations` keeps the
+benchmark's outputs byte-identical and cuts its `cpu_s`, but raises
+`peak_rss_mb` past its bound (figures in CHANGES.md).  The benchmark's
+set-up leaves discarded module copies to the cyclic garbage collector, and
+a library that allocates less triggers fewer of the collections that free
+them, so the readings move once the benchmark collects after its set-up.
 Everything is deterministic.
 """
 

@@ -1,11 +1,28 @@
 """Sparse multivariate polynomials over exact rationals.
 
-Terms map exponent tuples (length nvars) to nonzero Fractions; the zero
-polynomial has an empty term map, so identical vanishing is a dictionary
-emptiness check rather than a sampling question.
+A monomial is the sorted tuple of its variables' 0-based indices, one entry
+per factor: t1^2*t3 is (0, 0, 2) and the constant monomial is ().  Terms map
+monomials to nonzero Fractions; the zero polynomial has an empty term map,
+so identical vanishing is a dictionary emptiness check rather than a
+sampling question.
 """
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import chain, groupby
+
+
+def _merge(pairs):
+    """Sum (monomial, coefficient) pairs into a term map with no zeros."""
+    acc = {}
+    for key, c in pairs:
+        prev = acc.get(key)
+        acc[key] = c if prev is None else prev + c
+    return {key: c for key, c in acc.items() if c}
+
+
+def _power(i, e):
+    return "t%d" % (i + 1) if e == 1 else "t%d^%d" % (i + 1, e)
 
 
 class MPoly:
@@ -15,25 +32,23 @@ class MPoly:
         if nvars < 0:
             raise ValueError("nvars must be >= 0")
         self.nvars = nvars
-        clean = {}
-        if terms:
-            for exps, coeff in terms.items():
-                exps = tuple(exps)
-                if len(exps) != nvars or any(e < 0 for e in exps):
-                    raise ValueError("bad exponent vector %r for %d variables"
-                                     % (exps, nvars))
-                c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-                if c:
-                    prev = clean.get(exps)
-                    if prev is None:
-                        clean[exps] = c
-                    else:
-                        s = prev + c
-                        if s:
-                            clean[exps] = s
-                        else:
-                            del clean[exps]
-        self.terms = clean
+        terms = terms or {}
+        for key in terms:
+            if not (isinstance(key, tuple)
+                    and all(isinstance(i, int) and 0 <= i < nvars for i in key)
+                    and list(key) == sorted(key)):
+                raise ValueError("bad monomial %r for %d variables: want a "
+                                 "sorted tuple of variable indices" % (key, nvars))
+        self.terms = _merge(
+            (key, c if isinstance(c, Fraction) else Fraction(c))
+            for key, c in terms.items())
+
+    @classmethod
+    def _of(cls, nvars, terms):
+        """Wrap a term map that is already canonical, unchecked."""
+        out = cls.__new__(cls)
+        out.nvars, out.terms = nvars, terms
+        return out
 
     # ---- constructors ----
 
@@ -43,15 +58,14 @@ class MPoly:
 
     @classmethod
     def constant(cls, nvars, value):
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls(nvars, {(): Fraction(value)})
 
     @classmethod
     def variable(cls, nvars, i):
         """The monomial t_{i+1}; i is a 0-based variable index."""
         if not 0 <= i < nvars:
             raise ValueError("variable index %d out of range" % i)
-        exps = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {exps: Fraction(1)})
+        return cls(nvars, {(i,): Fraction(1)})
 
     # ---- ring structure ----
 
@@ -64,27 +78,13 @@ class MPoly:
         if not isinstance(other, MPoly):
             other = MPoly.constant(self.nvars, other)
         self._check(other)
-        acc = dict(self.terms)
-        for e, c in other.terms.items():
-            prev = acc.get(e)
-            if prev is None:
-                acc[e] = c
-            else:
-                s = prev + c
-                if s:
-                    acc[e] = s
-                else:
-                    del acc[e]
-        out = MPoly(self.nvars)
-        out.terms = acc
-        return out
+        return MPoly._of(self.nvars,
+                         _merge(chain(self.terms.items(), other.terms.items())))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = MPoly(self.nvars)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return MPoly._of(self.nvars, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, MPoly):
@@ -97,28 +97,13 @@ class MPoly:
     def __mul__(self, other):
         if not isinstance(other, MPoly):
             c = other if isinstance(other, Fraction) else Fraction(other)
-            out = MPoly(self.nvars)
-            if c:
-                out.terms = {e: c * v for e, v in self.terms.items()}
-            return out
+            if not c:
+                return MPoly(self.nvars)
+            return MPoly._of(self.nvars, {k: c * v for k, v in self.terms.items()})
         self._check(other)
-        acc = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                prev = acc.get(e)
-                if prev is None:
-                    acc[e] = c
-                else:
-                    s = prev + c
-                    if s:
-                        acc[e] = s
-                    else:
-                        del acc[e]
-        out = MPoly(self.nvars)
-        out.terms = acc
-        return out
+        return MPoly._of(self.nvars, _merge(
+            (tuple(sorted(k1 + k2)), c1 * c2)
+            for k1, c1 in self.terms.items() for k2, c2 in other.terms.items()))
 
     __rmul__ = __mul__
 
@@ -142,54 +127,46 @@ class MPoly:
 
     def total_degree(self):
         """Max term degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max(map(len, self.terms), default=-1)
 
     def evaluate(self, point):
         point = [p if isinstance(p, Fraction) else Fraction(p) for p in point]
         if len(point) != self.nvars:
             raise ValueError("point length %d, expected %d" % (len(point), self.nvars))
         total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            v = coeff
-            for x, e in zip(point, exps):
-                if e:
-                    v *= x ** e
-            total += v
+        for key, coeff in self.terms.items():
+            for i in key:
+                coeff *= point[i]
+            total += coeff
         return total
 
-    def substitute_first(self, value):
-        """Fix the first variable to `value`; result has nvars-1 variables."""
-        if self.nvars == 0:
-            raise ValueError("no variables to substitute")
+    def substitute(self, i, value):
+        """Fix variable i (0-based) to `value`; the result keeps nvars.
+
+        Each key is sorted, so the factors t_{i+1} are one contiguous run,
+        found by two bisections and cut out."""
+        if not 0 <= i < self.nvars:
+            raise ValueError("variable index %d out of range" % i)
         value = value if isinstance(value, Fraction) else Fraction(value)
-        acc = {}
-        for exps, coeff in self.terms.items():
-            c = coeff * value ** exps[0] if exps[0] else coeff
-            if not c:
-                continue
-            e = exps[1:]
-            prev = acc.get(e)
-            if prev is None:
-                acc[e] = c
-            else:
-                s = prev + c
-                if s:
-                    acc[e] = s
-                else:
-                    del acc[e]
-        out = MPoly(self.nvars - 1)
-        out.terms = acc
-        return out
+
+        def restricted():
+            for key, c in self.terms.items():
+                lo = bisect_left(key, i)
+                hi = bisect_right(key, i, lo)
+                if lo == hi:
+                    yield key, c
+                elif value:
+                    yield key[:lo] + key[hi:], c * value ** (hi - lo)
+
+        return MPoly._of(self.nvars, _merge(restricted()))
 
     def __str__(self):
         if not self.terms:
             return "0"
         parts = []
-        for exps in sorted(self.terms, key=lambda e: (sum(e), tuple(-x for x in e))):
-            c = self.terms[exps]
-            mono = "*".join(
-                ("t%d" % (i + 1)) if e == 1 else ("t%d^%d" % (i + 1, e))
-                for i, e in enumerate(exps) if e)
+        for key in sorted(self.terms, key=lambda k: (len(k), k)):
+            c = self.terms[key]
+            mono = "*".join(_power(i, len(list(run))) for i, run in groupby(key))
             mag = abs(c)
             if not mono:
                 body = str(mag)
@@ -221,9 +198,9 @@ def find_nonvanishing_point(p):
     d = p.total_degree()
     point = []
     q = p
-    for _ in range(p.nvars):
+    for i in range(p.nvars):
         for v in range(d + 1):
-            r = q.substitute_first(v)
+            r = q.substitute(i, v)
             if not r.is_zero:
                 point.append(Fraction(v))
                 q = r

@@ -40,10 +40,8 @@ def random_multivector(rng, dim, nterms=4, degrees=None):
 def random_mpoly(rng, nvars, nterms=4, maxdeg=3):
     terms = {}
     for _ in range(nterms):
-        exps = [0] * nvars
-        for _ in range(rng.randint(0, maxdeg)):
-            exps[rng.randrange(nvars)] += 1
-        terms[tuple(exps)] = rnd_fraction(rng)
+        key = sorted(rng.randrange(nvars) for _ in range(rng.randint(0, maxdeg)))
+        terms[tuple(key)] = rnd_fraction(rng)
     return MPoly(nvars, terms)
 
 
@@ -278,10 +276,7 @@ def oracle_pfaffian(basis, dim, m):
             prod = prod.wedge(basis[i])
         c = prod.terms.get(full_mask)
         if c:
-            exps = [0] * k
-            for i in combo:
-                exps[i] += 1
-            key = tuple(exps)
+            key = tuple(sorted(combo))
             terms[key] = terms.get(key, Fraction(0)) + c
     cleaned = {e: v / math.factorial(m) for e, v in terms.items() if v}
     return MPoly(k, cleaned)
@@ -304,11 +299,7 @@ def oracle_contact_poly(g):
                 prod = prod.wedge(diffs[i])
             c = prod.terms.get(full_mask)
             if c:
-                exps = [0] * n2
-                exps[i0] += 1
-                for i in combo:
-                    exps[i] += 1
-                key = tuple(exps)
+                key = tuple(sorted((i0,) + combo))
                 terms[key] = terms.get(key, Fraction(0)) + c
     return MPoly(n2, {e: v for e, v in terms.items() if v})
 

@@ -151,7 +151,7 @@ def test_parse_lambda_power_limit():
                              "bracket [1,2] = %s*e3\nend\n" % coef)
 
     assert (parse("lambda^64")[0].brackets[(1, 2)][3]
-            == MPoly(1, {(64,): 1}))
+            == MPoly(1, {(0,) * 64: 1}))
     for coef in ("lambda^65", "lambda^40*lambda^30", "(1 + lambda^65)"):
         with pytest.raises(CatalogError) as exc:
             parse(coef)
