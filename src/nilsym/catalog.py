@@ -367,8 +367,12 @@ def parse_catalog_file(path):
 # ---- bundled generators ---------------------------------------------------
 
 
+BUILTIN_MAX_DIM = 64
+
+
 def builtin(name):
-    """Construct a bundled algebra: abelian:N, heisenberg:N (odd), g13457C.
+    """Construct a bundled algebra: abelian:N, heisenberg:N (odd), g13457C,
+    with N at most BUILTIN_MAX_DIM.
 
     Only algebras whose structure constants are fully pinned down ship
     here; everything else must come through a catalog file.
@@ -382,6 +386,9 @@ def builtin(name):
         if not arg.isdigit():
             raise ValueError("builtin %r needs a size, e.g. %s:5" % (name, kind))
         n = int(arg)
+        if n > BUILTIN_MAX_DIM:
+            raise ValueError("builtin %s size must be <= %d, got %d"
+                             % (kind, BUILTIN_MAX_DIM, n))
         if kind == "abelian":
             if n < 1:
                 raise ValueError("abelian size must be >= 1")

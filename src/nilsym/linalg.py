@@ -23,7 +23,11 @@ vectors) and basis changes on `inverse`.
 
 `rref` and `kernel_basis` are dense lists of rows of Fractions, with the
 first nonzero pivot and reduced row echelon form; cocycle bases are their
-only caller.  A prototype that builds Z^2 with `relations` keeps the
+only caller.  At each pivot `rref` collects the pivot row's nonzero
+columns, all at or after the pivot, scales only those, and subtracts the
+row, on those columns and in place, from each row with a nonzero entry in
+the pivot column, so a sparse differential costs its nonzeros and not its
+width.  A prototype that builds Z^2 with `relations` keeps the
 benchmark's outputs byte-identical and cuts its `cpu_s`, but raises
 `peak_rss_mb` past its bound (figures in CHANGES.md).  The benchmark's
 set-up leaves discarded module copies to the cyclic garbage collector, and
@@ -45,7 +49,9 @@ def rref(rows):
 
     Returns (reduced_rows, pivot_columns); the input is not modified.
     Pivots are normalized to 1 and cleared above and below after each pivot
-    so every intermediate stays in lowest terms.
+    so every intermediate stays in lowest terms.  Only the pivot row's
+    nonzero columns, all at or after the pivot, are scaled and subtracted,
+    in place, from the rows with a nonzero entry in the pivot column.
     """
     m = [[Fraction(x) for x in row] for row in rows]
     nrows = len(m)
@@ -55,18 +61,21 @@ def rref(rows):
     for c in range(ncols):
         if r == nrows:
             break
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
         if pr is None:
             continue
         if pr != r:
             m[r], m[pr] = m[pr], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
         row_r = m[r]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], row_r)]
+        support = [j for j in range(c, ncols) if row_r[j]]
+        inv = ONE / row_r[c]
+        for j in support:
+            row_r[j] *= inv
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                for j in support:
+                    row[j] -= f * row_r[j]
         pivots.append(c)
         r += 1
     return m, pivots

@@ -1,17 +1,17 @@
 """Shared test utilities: seeded random generators and small independent
 oracles.  The oracles deliberately reimplement their targets by a different
-route (permutation expansion, fraction-free elimination, brute-force
-enumeration) so the production path is checked against something it does
-not share code with.
+route (permutation expansion, fraction-free elimination, full-row
+elimination, brute-force enumeration) so the production path is checked
+against something it does not share code with; none imports
+`nilsym.linalg`.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from nilsym import (MPoly, Multivector, UcsProfile, indices_of, mask_of,
-                    wedge_sign)
-from nilsym.linalg import kernel_basis, rref
+from nilsym import (LieAlgebra, MPoly, Multivector, UcsProfile, indices_of,
+                    mask_of, wedge_sign)
 
 
 def rnd_fraction(rng, num=9, den=4):
@@ -89,6 +89,53 @@ def brute_det(rows):
     return total
 
 
+def oracle_rref(rows):
+    """Reduced row echelon form by full-row updates: at each pivot the
+    whole pivot row is scaled and subtracted, as whole new rows, from every
+    other row with a nonzero entry in the pivot column.  Returns
+    (reduced_rows, pivot_columns); the input is not modified."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        row_r = m[r]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], row_r)]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def oracle_kernel_basis(rows, ncols):
+    """Basis of {x : A x = 0} read off `oracle_rref`: one vector per free
+    column f, in increasing f, with 1 at f, minus the reduced column f at
+    the pivots, and 0 elsewhere."""
+    red, pivots = oracle_rref(rows)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, p in zip(red, pivots):
+            v[p] = -row[f]
+        basis.append(v)
+    return basis
+
+
 def residual(red, pivots, v):
     """Reduce v against an rref row space; zero iff v lies in the span."""
     w = [Fraction(x) for x in v]
@@ -101,14 +148,14 @@ def residual(red, pivots, v):
 
 
 def oracle_inverse(rows):
-    """Exact inverse by the dense rref of [A | I]; raises ValueError on a
+    """Exact inverse by `oracle_rref` of [A | I]; raises ValueError on a
     singular matrix."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("inverse needs a square matrix")
     aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
            for i, row in enumerate(rows)]
-    red, pivots = rref(aug)
+    red, pivots = oracle_rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red]
@@ -132,7 +179,7 @@ def oracle_ucs(g):
     current = []  # rows spanning C_i; starts at C_0 = 0
     dims = []
     while True:
-        red, pivots = rref(current)
+        red, pivots = oracle_rref(current)
         # [x, e_j] in C_i is linear in x; one scalar row per coordinate of
         # the residual of [e_i, e_j] against the current rref basis.
         rows = []
@@ -142,7 +189,7 @@ def oracle_ucs(g):
                 row = [res[i][coord] for i in range(n)]
                 if any(row):
                     rows.append(row)
-        new_basis = kernel_basis(rows, n)
+        new_basis = oracle_kernel_basis(rows, n)
         new_dim = len(new_basis)
         if dims and new_dim == dims[-1]:
             break
@@ -154,8 +201,8 @@ def oracle_ucs(g):
 
 
 def in_row_span(rows, v):
-    """Whether v lies in the row span, by the dense rref and residual."""
-    red, pivots = rref(rows)
+    """Whether v lies in the row span, by `oracle_rref` and residual."""
+    red, pivots = oracle_rref(rows)
     return all(x == 0 for x in residual(red, pivots, v))
 
 
@@ -306,8 +353,6 @@ def oracle_contact_poly(g):
 
 def filiform(n):
     """The standard filiform algebra [e1, ei] = e_{i+1}, as in test_filiform."""
-    from nilsym import LieAlgebra
-
     return LieAlgebra("filiform:%d" % n, n,
                       {(1, i): {i + 1: 1} for i in range(2, n)})
 
@@ -329,3 +374,36 @@ def oracle_differential(c, f):
                     m = dmask | rest
                     acc[m] = acc.get(m, Fraction(0)) + s * c0 * dcoeff
     return Multivector(c.dim, acc)
+
+
+def oracle_cocycle_basis(c, degree):
+    """Basis of the closed degree-p forms: `oracle_kernel_basis` of the
+    dense matrix of d over lex-ordered monomials, its columns built by
+    `oracle_differential`, one vector per free column in lex order."""
+    n = c.dim
+    domain = [mask_of(ix) for ix in itertools.combinations(range(1, n + 1), degree)]
+    codomain = [mask_of(ix) for ix in itertools.combinations(range(1, n + 1), degree + 1)]
+    columns = [oracle_differential(c, Multivector(n, {m: 1})) for m in domain]
+    matrix = [[col.terms.get(m, Fraction(0)) for col in columns] for m in codomain]
+    return [Multivector(n, {m: x for m, x in zip(domain, v) if x})
+            for v in oracle_kernel_basis(matrix, len(domain))]
+
+
+def random_nilpotent(rng, dim):
+    """A seeded nilpotent algebra built by iterated central extension
+    (Skjelbred and Sund, 1978): from abelian:2, each new generator e_k gets
+    [e_i, e_j] += beta_ij e_k for a random closed 2-form beta, found by
+    `oracle_cocycle_basis`, so the Jacobi identity holds by construction."""
+    from nilsym import build_complex
+
+    brackets = {}
+    for k in range(3, dim + 1):
+        g = LieAlgebra("rand", k - 1, brackets)
+        for beta in oracle_cocycle_basis(build_complex(g), 2):
+            coeff = rng.choice((0, 0, 1, -1, 2))
+            if not coeff:
+                continue
+            for mask, x in beta.terms.items():
+                row = brackets.setdefault(indices_of(mask), {})
+                row[k] = row.get(k, 0) + coeff * x
+    return LieAlgebra("rand:%d" % dim, dim, brackets)

@@ -7,12 +7,13 @@ import pytest
 
 from nilsym import (LieAlgebra, Multivector, betti_numbers, build_complex,
                     builtin, change_basis, cocycle_basis, d_squared_is_zero,
-                    direct_product, jacobi_holds, jacobi_violation,
-                    parse_catalog, parse_catalog_file)
+                    direct_product, indices_of, jacobi_holds,
+                    jacobi_violation, parse_catalog, parse_catalog_file)
 from nilsym.cecomplex import (degree_monomials, differential_matrix,
-                              is_unimodular)
-from helpers import (oracle_differential, oracle_jacobi_violation, oracle_rank,
-                     random_invertible, random_multivector,
+                              is_unimodular, split_generators)
+from helpers import (oracle_cocycle_basis, oracle_differential,
+                     oracle_jacobi_violation, oracle_rank, random_invertible,
+                     random_multivector, random_nilpotent,
                      rnd_nonzero_fraction)
 
 BUNDLED = ("abelian:1", "abelian:2", "abelian:3", "abelian:4", "abelian:5",
@@ -407,3 +408,59 @@ def test_poincare_duality_for_nilpotent():
     for name in BUNDLED:
         b = [r.betti for r in betti_numbers(build_complex(builtin(name)))]
         assert b == b[::-1]
+
+
+def times_a(g, k):
+    return direct_product(g, builtin("abelian:%d" % k))
+
+
+def cocycle_algebras():
+    """The oracle algebras, g x a^k for k = 1..3 on small g, and seeded
+    basis changes, which hide the split generators."""
+    rng = random.Random(66)
+    base = oracle_algebras()
+    small = [builtin("heisenberg:3"), builtin("heisenberg:5"), filiform(4),
+             filiform(5)]
+    products = [times_a(g, k) for g in small for k in (1, 2, 3)]
+    hidden = [change_basis(g, random_invertible(rng, g.dim))
+              for g in base + products[:6]]
+    return base + products + hidden
+
+
+def test_cocycle_basis_matches_oracle_in_every_degree():
+    # The same vectors in the same order: the blocks' vectors merge back
+    # into the lex order of their free columns.
+    for g in cocycle_algebras():
+        c = build_complex(g)
+        for p in range(g.dim + 1):
+            assert cocycle_basis(c, p) == oracle_cocycle_basis(c, p), (g.name, p)
+
+
+def test_split_generators():
+    y = 0b111 << 5
+    assert split_generators(build_complex(times_a(builtin("heisenberg:5"), 3))) == y
+    for n in (1, 4, 7):
+        assert split_generators(build_complex(builtin("abelian:%d" % n))) == (1 << n) - 1
+    assert split_generators(build_complex(builtin("g13457C"))) == 0
+    for n in range(3, 9):
+        assert split_generators(build_complex(filiform(n))) == 0
+
+
+def lex_key(form):
+    """The index tuple of a form's last monomial in lex order."""
+    return max(indices_of(m) for m in form.terms)
+
+
+def test_z2_of_g_times_a_is_z2_of_g_and_z1_of_g_wedge_y():
+    rng = random.Random(67)
+    for dim in (3, 4, 5, 5, 6, 6, 7):
+        g = random_nilpotent(rng, dim)
+        assert jacobi_holds(g)
+        c, n = build_complex(g), g.dim
+        y = Multivector.generator(n + 1, n + 1)
+        parts = [Multivector(n + 1, beta.terms) for beta in cocycle_basis(c, 2)]
+        parts += [Multivector(n + 1, theta.terms).wedge(y)
+                  for theta in cocycle_basis(c, 1)]
+        ga = build_complex(times_a(g, 1))
+        assert split_generators(ga) & (1 << n)
+        assert cocycle_basis(ga, 2) == sorted(parts, key=lex_key)

@@ -333,6 +333,17 @@ def test_unknown_builtin_exits_two(capsys):
     assert code == 2
 
 
+def test_oversized_builtin_is_an_error_line(capsys):
+    code, out, err = run(capsys, "check", "--builtin", "abelian:99999999999999999999")
+    assert code == 2
+    assert out == ""
+    assert err == "error: builtin abelian size must be <= 64, got 99999999999999999999\n"
+    code, _, err = run(capsys, "check", "--builtin", "heisenberg:65")
+    assert code == 2
+    assert "<= 64" in err
+    assert builtin("abelian:64").dim == 64
+
+
 def test_json_to_stdout(capsys):
     code, out, _ = run(capsys, "contact", "--builtin", "heisenberg:5",
                        "--json", "-")

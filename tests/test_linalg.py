@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from nilsym.linalg import inverse, kernel_basis, rank, relations, rref
 from helpers import (brute_det, det, identity, in_row_span, mat_mul, oracle_inverse,
-                     oracle_rank, random_invertible, rnd_fraction)
+                     oracle_kernel_basis, oracle_rank, oracle_rref,
+                     random_invertible, rnd_fraction)
 
 
 def F(x):
@@ -120,6 +121,32 @@ def test_inverse_matches_dense_oracle(m):
 def test_inverse_rejects_non_square():
     with pytest.raises(ValueError, match="square"):
         inverse([[F(1), F(2)]])
+
+
+@st.composite
+def dense_matrices(draw):
+    """Wide, tall and square matrices of ints or Fractions, sparse like the
+    differentials, with some rows and columns all zero."""
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(1, 7))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 3),
+                      st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=2))
+    zero_rows = draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=2))
+    return [[0 if i in zero_rows or j in zero_cols else x
+             for j, x in enumerate(row)] for i, row in enumerate(rows)], ncols
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(dense_matrices())
+def test_rref_and_kernel_basis_match_full_row_oracle(case):
+    rows, ncols = case
+    copies = [list(row) for row in rows]
+    assert rref(rows) == oracle_rref(rows)
+    assert kernel_basis(rows, ncols) == oracle_kernel_basis(rows, ncols)
+    assert rows == copies  # the input is not modified
+    assert all(x is y for row, copy in zip(rows, copies) for x, y in zip(row, copy))
 
 
 def test_kernel_vectors_annihilate():
