@@ -28,17 +28,11 @@ cohomology of Lie algebras", 1970), so only the degrees p <= (n-1)/2 are
 built and ranked.  Other algebras rank every degree: [e1, e2] = e2 has
 b = (1, 1, 0), which the duality would get wrong.
 
-Cocycle bases still go through the dense `rref`: building them with
-`linalg.relations` raises the benchmark's `peak_rss_mb` reading until its
-set-up collects garbage (see `linalg`; figures in CHANGES.md).  They are
-reduced block by block.  A generator x_j with dx_j = 0 that occurs in no
-dx_k spans an abelian direct factor (`split_generators`: y in g x a, or
-every generator of an abelian algebra), and d keeps each monomial's
-pattern of split generators, so the matrix of d is block diagonal.  On
-g x a this is Z^2(g x a) = Z^2(g) + Z^1(g) ^ y (Libermann 1959;
-Cappelletti-Montano, De Nicola and Yudin, "A survey on cosymplectic
-geometry", 2013).  Inside a block `rref` updates only the pivot row's
-nonzero columns.
+Cocycle bases still go through the dense `differential_matrix` and `rref`:
+building them with `linalg.relations` raises the benchmark's `peak_rss_mb`
+reading until its set-up collects garbage (see `linalg`; figures in
+CHANGES.md).  The differentials are sparse, and `rref` updates only the
+pivot row's nonzero columns.
 """
 
 from dataclasses import dataclass
@@ -166,34 +160,13 @@ def differential_matrix(c, degree):
     n = c.dim
     domain = degree_monomials(n, degree)
     codomain = degree_monomials(n, degree + 1) if degree < n else []
-    return _matrix(c, degree, domain, codomain), domain, codomain
-
-
-def _matrix(c, degree, domain, codomain):
-    """The rows `codomain` and columns `domain` of the matrix of d on the
-    given degree, whose images must lie in the span of `codomain`."""
     row_index = {m: r for r, m in enumerate(codomain)}
     matrix = [[Fraction(0)] * len(domain) for _ in codomain]
     images = c.images(degree)
     for col, mask in enumerate(domain):
         for m, v in images[mask].items():
             matrix[row_index[m]][col] = Fraction(v, c.scale)
-    return matrix
-
-
-def split_generators(c):
-    """Mask of the generators x_j with dx_j = 0 that occur in no dx_k.
-
-    Each spans an abelian direct factor: y in g x a, or every generator of
-    an abelian algebra.  By the Leibniz rule d(x_I) has the split part of
-    x_I in every monomial, so d keeps the pattern mask & split.
-    """
-    generators = c.images(1)
-    used = 0
-    for image in generators.values():
-        for m in image:
-            used |= m
-    return sum(x for x, image in generators.items() if not image and not x & used)
+    return matrix, domain, codomain
 
 
 def cocycle_basis(c, degree):
@@ -203,37 +176,22 @@ def cocycle_basis(c, degree):
     column of its reduced row echelon form; the vector of free column x_I
     has coefficient 1 at x_I and otherwise only earlier pivot monomials.
 
-    The monomials are grouped by their split pattern (`split_generators`),
-    which d keeps, so the matrix of d is block diagonal and each block is
-    reduced on its own.  A column's pivot status and its kernel vector
-    depend only on its block, so the vectors, merged in the lex order of
-    their free column, are those of the whole matrix.  This splits
-    Z^2(g x a) = Z^2(g) + Z^1(g) ^ y (Libermann 1959; Cappelletti-Montano,
-    De Nicola and Yudin, "A survey on cosymplectic geometry", 2013).
-    Without a split generator there is one block.
+    On g x a, with y the generator of a, every closed 2-form is
+    beta + theta ^ y with beta in Z^2(g) and theta in Z^1(g) (Libermann
+    1959; Cappelletti-Montano, De Nicola and Yudin, "A survey on
+    cosymplectic geometry", 2013), and the basis is exactly the union of
+    `cocycle_basis(g, 2)` and `theta ^ y` for theta in `cocycle_basis(g, 1)`,
+    in the lex order of the vectors' last monomials.
     """
     n = c.dim
     if not 0 <= degree <= n:
         raise ValueError("degree %d outside 0..%d" % (degree, n))
-    split = split_generators(c)
-    domain = degree_monomials(n, degree)
-    codomain = degree_monomials(n, degree + 1) if degree < n else []
-    blocks = {}
-    for at, m in enumerate(domain):
-        blocks.setdefault(m & split, ([], []))[0].append(at)
-    for m in codomain:
-        block = blocks.get(m & split)
-        if block is not None:
-            block[1].append(m)
-    found = []
-    for cols, rows in blocks.values():
-        masks = [domain[at] for at in cols]
-        for v in kernel_basis(_matrix(c, degree, masks, rows), len(cols)):
-            free = max(j for j, x in enumerate(v) if x)
-            found.append((cols[free], Multivector(
-                n, {m: x for m, x in zip(masks, v) if x})))
-    found.sort(key=lambda item: item[0])
-    return [form for _, form in found]
+    matrix, domain, _ = differential_matrix(c, degree)
+    vectors = kernel_basis(matrix, len(domain))
+    out = []
+    for v in vectors:
+        out.append(Multivector(n, {m: coeff for m, coeff in zip(domain, v) if coeff}))
+    return out
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from nilsym import (LieAlgebra, Multivector, betti_numbers, build_complex,
                     direct_product, indices_of, jacobi_holds,
                     jacobi_violation, parse_catalog, parse_catalog_file)
 from nilsym.cecomplex import (degree_monomials, differential_matrix,
-                              is_unimodular, split_generators)
+                              is_unimodular)
 from helpers import (oracle_cocycle_basis, oracle_differential,
                      oracle_jacobi_violation, oracle_rank, random_invertible,
                      random_multivector, random_nilpotent,
@@ -416,7 +416,7 @@ def times_a(g, k):
 
 def cocycle_algebras():
     """The oracle algebras, g x a^k for k = 1..3 on small g, and seeded
-    basis changes, which hide the split generators."""
+    basis changes of them, whose differentials are dense."""
     rng = random.Random(66)
     base = oracle_algebras()
     small = [builtin("heisenberg:3"), builtin("heisenberg:5"), filiform(4),
@@ -428,22 +428,11 @@ def cocycle_algebras():
 
 
 def test_cocycle_basis_matches_oracle_in_every_degree():
-    # The same vectors in the same order: the blocks' vectors merge back
-    # into the lex order of their free columns.
+    # The same vectors in the same order as the full-row elimination.
     for g in cocycle_algebras():
         c = build_complex(g)
         for p in range(g.dim + 1):
             assert cocycle_basis(c, p) == oracle_cocycle_basis(c, p), (g.name, p)
-
-
-def test_split_generators():
-    y = 0b111 << 5
-    assert split_generators(build_complex(times_a(builtin("heisenberg:5"), 3))) == y
-    for n in (1, 4, 7):
-        assert split_generators(build_complex(builtin("abelian:%d" % n))) == (1 << n) - 1
-    assert split_generators(build_complex(builtin("g13457C"))) == 0
-    for n in range(3, 9):
-        assert split_generators(build_complex(filiform(n))) == 0
 
 
 def lex_key(form):
@@ -462,5 +451,4 @@ def test_z2_of_g_times_a_is_z2_of_g_and_z1_of_g_wedge_y():
         parts += [Multivector(n + 1, theta.terms).wedge(y)
                   for theta in cocycle_basis(c, 1)]
         ga = build_complex(times_a(g, 1))
-        assert split_generators(ga) & (1 << n)
         assert cocycle_basis(ga, 2) == sorted(parts, key=lex_key)
