@@ -4,7 +4,7 @@ The flat file format (one entry per algebra, `#` comments, blank lines
 ignored):
 
     algebra <name>
-    dim <positive integer>
+    dim <1..64>
     param lambda exclude {<rational>, ...}    # optional
     bracket [i,j] = <coef>*e<k> (+|-) <coef>*e<k> ...
     form symplectic "<expr>"                  # optional, repeatable
@@ -21,6 +21,12 @@ an int (sys.get_int_max_str_digits(), 4300 digits by default) is a
 CatalogError with its line.  Form expressions use the grammar
 `term ((+|-) term)*` with `term := [rational "*"] gen ("^" gen)*` and
 `gen := x<int> | y`.
+
+Brackets are checked by `liealg`'s helpers, the ones `LieAlgebra` runs,
+so both paths give the same message; the parser only adds the line, and
+for a fault on the right-hand side also its column.  The dim line is read
+as any positive integer; `CatalogEntry.algebra` rejects one above
+`liealg.MAX_DIM`, so `report` lists that entry under `errors` and goes on.
 """
 
 import re
@@ -29,7 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exterior import Multivector, wedge_sign
-from .liealg import LieAlgebra, instantiate_params, lambda_coeff
+from .liealg import (MAX_DIM, LieAlgebra, bracket_key, bracket_row,
+                     instantiate_params)
 from .mpoly import MPoly
 
 
@@ -163,22 +170,20 @@ def _parse_coeff(text, param, line):
     return _parse_simple_coeff(s, param, line)
 
 
-def _parse_bracket_rhs(text, dim, param, line):
+def _parse_bracket_rhs(text, param, line):
+    """{k: summed coefficient} of a bracket's right-hand side, unchecked."""
     combo = {}
     for sign, term in _signed_terms(text, line):
         m = _BRACKET_TERM.match(_WS.sub("", term))
         if not m:
             raise CatalogError("bad bracket term %r" % term, line)
         k = _int(m.group("k"), line)
-        if not 1 <= k <= dim:
-            raise CatalogError("bracket target e%d outside 1..%d" % (k, dim), line)
         coef = m.group("coef")
         c = Fraction(1) if coef is None else _parse_coeff(coef, param, line)
         if sign < 0:
             c = -c
         combo[k] = combo.get(k, Fraction(0)) + c
-    combo = {k: lambda_coeff(c) for k, c in combo.items()}
-    return {k: c for k, c in combo.items() if c}
+    return combo
 
 
 @dataclass
@@ -321,30 +326,19 @@ def parse_catalog(text):
             if not m:
                 raise CatalogError("bad bracket line %r" % s, lineno)
             i, j = _int(m.group(1), lineno), _int(m.group(2), lineno)
-            if i == j:
-                raise CatalogError("bracket [%d,%d] is identically zero" % (i, j),
-                                   lineno)
-            sign = 1
-            if i > j:
-                i, j, sign = j, i, -1
-            dim = state["dim"]
-            if not 1 <= i < j <= dim:
-                raise CatalogError("bracket indices [%d,%d] outside 1..%d"
-                                   % (i, j, dim), lineno)
-            if (i, j) in state["brackets"]:
-                raise CatalogError("duplicate bracket [%d,%d]" % (i, j), lineno)
             try:
-                combo = _parse_bracket_rhs(m.group(3), dim, state["param"],
-                                           lineno)
-            except CatalogError as exc:
-                if exc.column is None:
-                    raise CatalogError(exc.body, lineno,
-                                       raw.find(m.group(3)) + 1) from None
-                raise
-            if sign < 0:
-                combo = {k: -c for k, c in combo.items()}
-            if combo:
-                state["brackets"][(i, j)] = combo
+                i, j, sign = bracket_key(i, j, state["dim"], state["brackets"])
+            except ValueError as exc:
+                raise CatalogError(str(exc), lineno) from None
+            rhs = m.group(3)
+            try:
+                row = bracket_row(_parse_bracket_rhs(rhs, state["param"], lineno),
+                                  sign, state["dim"])
+            except ValueError as exc:
+                raise CatalogError(getattr(exc, "body", str(exc)), lineno,
+                                   raw.find(rhs) + 1) from None
+            if row:
+                state["brackets"][(i, j)] = row
             continue
         if s.startswith("form"):
             m = _FORM_LINE.match(s)
@@ -367,12 +361,10 @@ def parse_catalog_file(path):
 # ---- bundled generators ---------------------------------------------------
 
 
-BUILTIN_MAX_DIM = 64
-
-
 def builtin(name):
     """Construct a bundled algebra: abelian:N, heisenberg:N (odd), g13457C,
-    with N at most BUILTIN_MAX_DIM.
+    with N at most MAX_DIM, checked before the brackets of a huge N are
+    built.
 
     Only algebras whose structure constants are fully pinned down ship
     here; everything else must come through a catalog file.
@@ -386,9 +378,9 @@ def builtin(name):
         if not arg.isdigit():
             raise ValueError("builtin %r needs a size, e.g. %s:5" % (name, kind))
         n = int(arg)
-        if n > BUILTIN_MAX_DIM:
+        if n > MAX_DIM:
             raise ValueError("builtin %s size must be <= %d, got %d"
-                             % (kind, BUILTIN_MAX_DIM, n))
+                             % (kind, MAX_DIM, n))
         if kind == "abelian":
             if n < 1:
                 raise ValueError("abelian size must be >= 1")
@@ -445,21 +437,12 @@ def parse_form(expr, dim, has_y=False):
                         raise CatalogError("x%d outside 1..%d in form term %r"
                                            % (idx, dim, term))
                 bit = 1 << (idx - 1)
-                if mask & bit:
-                    msign = 0  # repeated generator annihilates the term
+                msign *= wedge_sign(mask, bit)  # 0 on a repeated generator
+                if not msign:
                     break
-                s_ = wedge_sign(mask, bit)
-                msign *= s_
                 mask |= bit
-        if msign == 0:
-            continue
-        c = coeff * msign
-        prev = terms.get(mask, Fraction(0))
-        total = prev + c
-        if total:
-            terms[mask] = total
-        elif mask in terms:
-            del terms[mask]
+        if msign:  # Multivector drops the terms that cancel
+            terms[mask] = terms.get(mask, 0) + coeff * msign
     return Multivector(ambient, terms)
 
 

@@ -12,7 +12,8 @@ There is one complex per algebra object: `build_complex` stores it on the
 algebra, so the Jacobi check, Betti numbers, cocycles, the contact
 polynomial and form verification all read the same one.  It is the only
 implementation of d.  The generator differentials are scaled to integers
-once, by the lcm of their denominators (`scale`), and the complex keeps the
+once, by the lcm of their denominators (`scale`, from
+`linalg.integer_maps`), and the complex keeps the
 integer images scale * d(x_I) one degree at a time, each built on first use
 from the degree below by the Leibniz rule: for x_I with lowest index i and
 rest J, d(x_I) = dx_i ^ x_J - x_i ^ d(x_J).  `CEComplex.differential` is a
@@ -38,10 +39,10 @@ pivot row's nonzero columns.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 
 from .exterior import Multivector, mask_of, indices_of, wedge_sign
-from .linalg import kernel_basis, rank
+from .linalg import integer_maps, kernel_basis, rank
 
 
 class CEComplex:
@@ -61,12 +62,8 @@ class CEComplex:
         self.dim = algebra.dim
         self.unimodular = is_unimodular(algebra)
         self.generator_differentials = tuple(generator_differentials)
-        terms = [d.terms for d in self.generator_differentials]
-        self.scale = lcm(*(v.denominator for t in terms for v in t.values()))
-        self._images = {0: {0: {}}, 1: {
-            1 << k: {m: v.numerator * (self.scale // v.denominator)
-                     for m, v in t.items()}
-            for k, t in enumerate(terms)}}
+        ints, self.scale = integer_maps(d.terms for d in self.generator_differentials)
+        self._images = {0: {0: {}}, 1: {1 << k: t for k, t in enumerate(ints)}}
         self._violation = None  # (verdict,) once d_squared_violation has run
 
     def images(self, p):

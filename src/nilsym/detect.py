@@ -20,11 +20,12 @@ is sound and complete for real existence, and rational witnesses suffice.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 from .cecomplex import build_complex, cocycle_basis
 from .exterior import Multivector, indices_of, wedge_sign
 from .liealg import direct_product, jacobi_violation
+from .linalg import integer_maps
 from .mpoly import MPoly, find_nonvanishing_point
 
 
@@ -150,10 +151,8 @@ def pfaffian_polynomial(g):
                          % (g.name, g.dim))
     m = g.dim // 2
     basis = cocycle_basis(build_complex(g), 2)
-    L = lcm(*(c.denominator for b in basis for c in b.terms.values()))
-    omega = _generic_combination(
-        {mask: c.numerator * (L // c.denominator) for mask, c in b.terms.items()}
-        for b in basis)
+    rows, L = integer_maps(b.terms for b in basis)
+    omega = _generic_combination(rows)
     acc = _wedge_matchings({0: {(): 1}}, omega, m)
     p = MPoly(len(basis), acc.get((1 << g.dim) - 1)) * Fraction(1, L ** m)
     return p, basis

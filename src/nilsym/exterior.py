@@ -11,7 +11,9 @@ catalog form grammar and the CLI.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+
+from .linalg import integer_maps
 
 
 def mask_of(indices):
@@ -74,15 +76,7 @@ class Multivector:
                                      % (indices_of(mask), dim))
                 c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
                 if c:
-                    prev = clean.get(mask)
-                    if prev is None:
-                        clean[mask] = c
-                    else:
-                        s = prev + c
-                        if s:
-                            clean[mask] = s
-                        else:
-                            del clean[mask]
+                    clean[mask] = c
         self.terms = clean
 
     # ---- constructors ----
@@ -228,12 +222,8 @@ class Multivector:
         """
         if not self.terms:
             return self
-        denom = lcm(*(c.denominator for c in self.terms.values()))
-        nums = [c.numerator * (denom // c.denominator) for c in self.terms.values()]
-        g = 0
-        for n in nums:
-            g = gcd(g, n)
-        scale = Fraction(denom, g)
+        (nums,), denom = integer_maps((self.terms,))
+        scale = Fraction(denom, gcd(*nums.values()))
         if self.terms[self.monomials()[0]] < 0:
             scale = -scale
         return scale * self

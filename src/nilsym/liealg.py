@@ -5,15 +5,23 @@ synthesized.  Coefficients are Fractions or, in one-parameter families,
 one-variable MPolys in the parameter (`lambda_coeff` turns one that does
 not depend on it into a Fraction); a family must be instantiated before
 any analysis.
+
+This module owns the input contract on structure constants: `LieAlgebra`
+holds the only check of a dimension, and `bracket_key` and `bracket_row`
+are the only checks of a bracket, which the catalog parser calls too,
+adding only the line and column.  A dimension is at most MAX_DIM: a label
+tuple, or the 2^dim cochains of the complex, would otherwise grow without
+bound.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .cecomplex import build_complex, d_squared_violation
-from .linalg import inverse, relations
+from .linalg import integer_maps, inverse, relations
 from .mpoly import MPoly
+
+MAX_DIM = 64
 
 
 def lambda_coeff(value):
@@ -27,6 +35,36 @@ def lambda_coeff(value):
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
+def bracket_key(i, j, dim, table):
+    """(i, j, sign) with i < j for the bracket [e_i, e_j] written as given:
+    [e_j, e_i] is stored as -[e_i, e_j].  Raises ValueError on [e_i, e_i],
+    on an index outside 1..dim and on a pair already in `table`."""
+    if i == j:
+        raise ValueError("bracket [%d,%d] is identically zero" % (i, j))
+    sign = 1
+    if i > j:
+        i, j, sign = j, i, -1
+    if not 1 <= i < j <= dim:
+        raise ValueError("bracket indices [%d,%d] outside 1..%d" % (i, j, dim))
+    if (i, j) in table:
+        raise ValueError("duplicate bracket [%d,%d]" % (i, j))
+    return i, j, sign
+
+
+def bracket_row(combo, sign, dim):
+    """The stored row {k: coefficient} of sign * sum combo[k] e_k: each
+    coefficient through `lambda_coeff`, zeros dropped.  Raises ValueError on
+    a target outside 1..dim."""
+    row = {}
+    for k, c in combo.items():
+        if not 1 <= k <= dim:
+            raise ValueError("bracket target e%d outside 1..%d" % (k, dim))
+        c = lambda_coeff(c)
+        if c:
+            row[k] = -c if sign < 0 else c
+    return row
+
+
 class LieAlgebra:
     """A Lie algebra presented by rational structure constants.
 
@@ -38,6 +76,8 @@ class LieAlgebra:
                  dual_labels=None, param=None, param_exclusions=()):
         if dim < 1:
             raise ValueError("dimension must be positive")
+        if dim > MAX_DIM:  # checked before any label or cochain is built
+            raise ValueError("dimension %d is over the limit of %d" % (dim, MAX_DIM))
         self.name = name
         self.dim = dim
         self.param = param
@@ -52,22 +92,8 @@ class LieAlgebra:
         self.dual_labels = tuple(dual_labels)
         table = {}
         for (i, j), combo in (brackets or {}).items():
-            sign = 1
-            if i == j:
-                raise ValueError("bracket [e%d,e%d] is identically zero" % (i, j))
-            if i > j:
-                i, j, sign = j, i, -1
-            if not 1 <= i < j <= dim:
-                raise ValueError("bracket indices (%d,%d) outside 1..%d" % (i, j, dim))
-            if (i, j) in table:
-                raise ValueError("duplicate bracket [%d,%d]" % (i, j))
-            row = {}
-            for k, c in combo.items():
-                if not 1 <= k <= dim:
-                    raise ValueError("bracket target e%d outside 1..%d" % (k, dim))
-                c = lambda_coeff(c)
-                if c:
-                    row[k] = -c if sign < 0 else c
+            i, j, sign = bracket_key(i, j, dim, table)
+            row = bracket_row(combo, sign, dim)
             if row:
                 table[(i, j)] = row
         self.brackets = table
@@ -164,11 +190,9 @@ def upper_central_series(g):
     """
     g._require_instantiated("upper central series")
     n = g.dim
-    scale = lcm(*(c.denominator for row in g.brackets.values() for c in row.values()))
     # ad[j] lists (i, {k: scale * c_ij^k}) for every nonzero [e_i, e_j]
     ad = [[] for _ in range(n + 1)]
-    for (i, j), row in g.brackets.items():
-        scaled = {k: c.numerator * (scale // c.denominator) for k, c in row.items()}
+    for (i, j), scaled in zip(g.brackets, integer_maps(g.brackets.values())[0]):
         ad[j].append((i, scaled))
         ad[i].append((j, {k: -c for k, c in scaled.items()}))
     spanning = [{k: 1} for k in range(1, n + 1)]  # Ann(C_0)
@@ -198,7 +222,10 @@ def direct_product(g, h):
     """Block-diagonal product; h's indices are shifted past g's.
 
     When h is one-dimensional its dual generator is labeled y; otherwise
-    the second factor's duals are labeled y1..y_dim(h).
+    the second factor's duals are labeled y1..y_dim(h).  A product of
+    dimension above MAX_DIM raises ValueError, as every algebra does; g x a
+    reaches it only from a 64-dimensional g, and then only through
+    `--times-a` or, in `report`, a claimed form that names y.
     """
     dim = g.dim + h.dim
     brackets = {key: dict(row) for key, row in g.brackets.items()}
@@ -236,13 +263,8 @@ def change_basis(g, matrix):
     for i in range(n):
         for j in range(i + 1, n):
             u = g.bracket(rows[i], rows[j])
-            combo = {}
-            for k in range(n):
-                c = sum(u[l] * inv[l][k] for l in range(n))
-                if c:
-                    combo[k + 1] = c
-            if combo:
-                brackets[(i + 1, j + 1)] = combo
+            brackets[(i + 1, j + 1)] = {
+                k + 1: sum(u[l] * inv[l][k] for l in range(n)) for k in range(n)}
     return LieAlgebra(g.name, n, brackets,
                       basis_labels=g.basis_labels, dual_labels=g.dual_labels)
 
@@ -261,17 +283,11 @@ def instantiate_params(g, bindings):
     if g.param in bindings and bindings[g.param] in g.param_exclusions:
         raise ValueError("parameter %s = %s is excluded for %s"
                          % (g.param, bindings[g.param], g.name))
-    brackets = {}
-    for key, row in g.brackets.items():
-        combo = {}
-        for k, c in row.items():
-            if isinstance(c, MPoly):
-                if g.param not in bindings:
-                    raise ValueError("parameter %r is unbound" % g.param)
-                c = c.evaluate([bindings[g.param]])
-            if c:
-                combo[k] = c
-        if combo:
-            brackets[key] = combo
+    if g.has_free_params and g.param not in bindings:
+        raise ValueError("parameter %r is unbound" % g.param)
+    point = [bindings.get(g.param)]
+    brackets = {key: {k: c.evaluate(point) if isinstance(c, MPoly) else c
+                      for k, c in row.items()}
+                for key, row in g.brackets.items()}
     return LieAlgebra(g.name, g.dim, brackets,
                       basis_labels=g.basis_labels, dual_labels=g.dual_labels)

@@ -6,10 +6,11 @@ dense sequence read as {index: entry}, and tells for each one whether it is
 independent of the earlier ones or, if not, an integer relation that proves
 it.  The arithmetic is fraction-free, in the style of Bareiss (1968), on
 Python ints: each vector is scaled to integers by the lcm of its
-denominators, a row is reduced against a stored pivot row as a*row - b*pivot
-with a and b first divided by their gcd, and stored pivot rows are kept
-primitive (divided by the gcd of their entries and of their relation, with a
-positive pivot), so no Fraction is made in the loop and entries stay short.
+denominators (`integer_maps`, the package's one integer scaling), a row is
+reduced against a stored pivot row as a*row - b*pivot with a and b first
+divided by their gcd, and stored pivot rows are kept primitive (divided by
+the gcd of their entries and of their relation, with a positive pivot), so
+no Fraction is made in the loop and entries stay short.
 A row's pivot is its least key, and only nonzero entries are stored or
 touched.  This is plain sparse Gaussian elimination; structured Gaussian
 elimination (LaMacchia and Odlyzko, 1990) would also choose pivots by
@@ -81,16 +82,17 @@ def rref(rows):
     return m, pivots
 
 
-def _integer_row(vector):
-    """The nonzero entries of a rational vector times the lcm of their
-    denominators, as {key: int}, and that lcm.  A vector of ints, such as
-    the complex's images, is copied as it is, with lcm 1."""
-    items = vector.items() if isinstance(vector, Mapping) else enumerate(vector)
-    row = {k: v for k, v in items if v}
-    if set(map(type, row.values())) <= {int}:
-        return row, 1
-    scale = lcm(*(v.denominator for v in row.values()))
-    return {k: v.numerator * (scale // v.denominator) for k, v in row.items()}, scale
+def integer_maps(maps):
+    """The nonzero entries of rational maps {key: value}, each times the lcm
+    of all their denominators, as a list of {key: int} maps in order, and
+    that lcm.  Maps of ints, such as the complex's images, are copied as
+    they are, with lcm 1.  This is the package's one integer scaling."""
+    maps = [{k: v for k, v in m.items() if v} for m in maps]
+    if all(type(v) is int for m in maps for v in m.values()):
+        return maps, 1
+    scale = lcm(*(v.denominator for m in maps for v in m.values()))
+    return [{k: v.numerator * (scale // v.denominator) for k, v in m.items()}
+            for m in maps], scale
 
 
 def _subtract(acc, a, b, other):
@@ -125,7 +127,9 @@ def relations(vectors):
     """
     pivots = {}  # least key -> (primitive row, its relation), lead > 0
     for index, vector in enumerate(vectors):
-        row, scale = _integer_row(vector)
+        if not isinstance(vector, Mapping):
+            vector = dict(enumerate(vector))
+        (row,), scale = integer_maps((vector,))
         rel = {index: scale}
         while row:
             lead = min(row)

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from nilsym import (CatalogError, MPoly, Multivector, builtin, cli,
-                    jacobi_holds, parse_catalog, parse_form, render_catalog,
+from nilsym import (CatalogError, LieAlgebra, MPoly, Multivector, builtin,
+                    cli, jacobi_holds, parse_catalog, parse_form, render_catalog,
                     render_form, upper_central_series)
 from helpers import random_multivector
 
@@ -54,6 +54,35 @@ def test_parse_rejects_duplicate_bracket():
     with pytest.raises(CatalogError) as err:
         parse_catalog(text)
     assert "duplicate" in str(err.value)
+
+
+# (catalog bracket lines, the same brackets as a LieAlgebra dict, column):
+# the catalog gives an index fault its line only and a target fault also
+# the column of the right-hand side.
+MALFORMED_BRACKETS = [
+    (["bracket [1,1] = e3"], {(1, 1): {3: 1}}, None),
+    (["bracket [0,2] = e3"], {(0, 2): {3: 1}}, None),
+    (["bracket [1,4] = e3"], {(1, 4): {3: 1}}, None),
+    (["bracket [1,2] = e3", "bracket [2,1] = e3"],
+     {(1, 2): {3: 1}, (2, 1): {3: 1}}, None),
+    (["bracket [1,2] = e4"], {(1, 2): {4: 1}}, len("bracket [1,2] = ") + 1),
+]
+
+
+@pytest.mark.parametrize("lines, brackets, column", MALFORMED_BRACKETS)
+def test_malformed_brackets_give_one_message_on_both_paths(lines, brackets, column):
+    with pytest.raises(ValueError) as direct:
+        LieAlgebra("g", 3, brackets)
+    with pytest.raises(CatalogError) as parsed:
+        parse_catalog("\n".join(["algebra g", "dim 3", *lines, "end"]) + "\n")
+    assert parsed.value.body == str(direct.value)
+    assert (parsed.value.line, parsed.value.column) == (2 + len(lines), column)
+
+
+def test_dim_over_the_limit_is_rejected_when_the_algebra_is_built():
+    [entry] = parse_catalog("algebra g\ndim 65\nend\n")
+    with pytest.raises(ValueError, match="limit of 64"):
+        entry.algebra()
 
 
 def test_parse_rejects_zero_denominator():

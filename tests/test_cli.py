@@ -273,6 +273,31 @@ def test_report_number_over_the_int_digit_limit_is_an_error_row(tmp_path, capsys
                               "is over the limit of 4300")
 
 
+def test_report_dim_over_the_limit_is_an_error_row(tmp_path):
+    # At 10^11 dimensions a label tuple alone would exhaust memory, so the
+    # run gets an address-space limit of 1 GB and a timeout: an unguarded
+    # build fails with a MemoryError instead of taking the machine's memory.
+    (tmp_path / "mixed.cat").write_text(
+        "algebra big\ndim 99999999999\nend\n\n"
+        "algebra h5\ndim 5\nbracket [2,3] = e1\nbracket [4,5] = e1\nend\n")
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+             "from nilsym.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "report", str(tmp_path), "--json", "-"],
+        env=env, capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    payload = json.loads(proc.stdout[proc.stdout.index("\n{\n") + 1:])
+    assert [row["name"] for row in payload["algebras"]] == ["h5"]
+    assert payload["errors"] == [{
+        "entry": "big", "file": "mixed.cat",
+        "error": "dimension 99999999999 is over the limit of 64"}]
+
+
 def test_report_json_deterministic(tmp_path, capsys):
     (tmp_path / "cats").mkdir()
     (tmp_path / "cats" / "a.cat").write_text(

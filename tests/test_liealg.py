@@ -79,6 +79,12 @@ def test_constructor_normalizes_reversed_keys():
     assert g.brackets == {(2, 3): {1: Fraction(-1)}}
 
 
+def test_constructor_rejects_a_dimension_over_the_limit():
+    with pytest.raises(ValueError, match="limit of 64"):
+        LieAlgebra("g", 65)
+    assert LieAlgebra("g", 64).dim == 64
+
+
 def test_constructor_rejects_bad_indices():
     with pytest.raises(ValueError):
         LieAlgebra("g", 3, {(1, 1): {2: 1}})
