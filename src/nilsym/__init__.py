@@ -9,8 +9,7 @@ ship a rational witness form.
 from .exterior import Multivector, indices_of, mask_of, wedge_sign
 from .mpoly import MPoly, find_nonvanishing_point
 from .liealg import (LieAlgebra, UcsProfile, change_basis, direct_product,
-                     instantiate_params, jacobi_holds, jacobi_violation,
-                     upper_central_series)
+                     jacobi_holds, jacobi_violation, upper_central_series)
 from .cecomplex import (CEComplex, CochainBasisReport, betti_numbers,
                         build_complex, cocycle_basis, d_squared_is_zero)
 from .detect import (ContactVerdict, FormCheckReport, SymplecticVerdict,
@@ -29,7 +28,7 @@ __all__ = [
     "FormCheckReport", "CatalogEntry", "CatalogError",
     "mask_of", "indices_of", "wedge_sign", "find_nonvanishing_point",
     "jacobi_holds", "jacobi_violation", "upper_central_series",
-    "direct_product", "change_basis", "instantiate_params",
+    "direct_product", "change_basis",
     "build_complex", "d_squared_is_zero", "cocycle_basis",
     "betti_numbers", "symplectic_decide", "contact_decide",
     "pfaffian_polynomial", "contact_polynomial",

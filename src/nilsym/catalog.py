@@ -14,6 +14,8 @@ ignored):
 Coefficients are rationals (`p`, `p/q`), `lambda` monomials, or
 parenthesized lambda-polynomials like `(2*lambda-1)`, held as one-variable
 MPolys; one whose lambda-terms cancel is held as the constant it leaves.
+An entry with such coefficients is a lambda-family: `CatalogEntry.algebra`
+binds it, and a `LieAlgebra` holds rational constants only.
 The total power of `lambda` in one monomial (`lambda^40*lambda^30` counts
 70) is at most MAX_LAMBDA_POWER; a higher power is a CatalogError, raised
 before any polynomial is built.  A number longer than Python converts to
@@ -35,8 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exterior import Multivector, wedge_sign
-from .liealg import (MAX_DIM, LieAlgebra, bracket_key, bracket_row,
-                     instantiate_params)
+from .liealg import MAX_DIM, LieAlgebra, bracket_key, bracket_row
 from .mpoly import MPoly
 
 
@@ -198,11 +199,27 @@ class CatalogEntry:
     claimed_forms: tuple = ()
 
     def algebra(self, bindings=None):
-        g = LieAlgebra(self.name, self.dim, self.brackets,
-                       param=self.param, param_exclusions=self.param_exclusions)
-        if bindings:
-            g = instantiate_params(g, bindings)
-        return g
+        """The LieAlgebra of this entry, with `bindings` {name: rational}
+        substituted for the parameter.  Raises ValueError on a name other
+        than the entry's parameter, on an excluded value, and on a
+        coefficient that depends on the parameter when it is unbound."""
+        bindings = {name: Fraction(v) for name, v in (bindings or {}).items()}
+        for name in bindings:
+            if name != self.param:
+                raise ValueError("unknown parameter %r" % name)
+        value = bindings.get(self.param)
+        if value is not None and value in self.param_exclusions:
+            raise ValueError("parameter %s = %s is excluded for %s"
+                             % (self.param, value, self.name))
+        brackets = self.brackets
+        if any(isinstance(c, MPoly) for row in brackets.values()
+               for c in row.values()):
+            if value is None:
+                raise ValueError("parameter %r is unbound" % self.param)
+            brackets = {key: {k: c.evaluate([value]) if isinstance(c, MPoly) else c
+                              for k, c in row.items()}
+                        for key, row in brackets.items()}
+        return LieAlgebra(self.name, self.dim, brackets)
 
     def render(self):
         lines = ["algebra %s" % self.name, "dim %d" % self.dim]

@@ -115,7 +115,6 @@ def build_complex(g):
     differentials dx_k = -sum_{i<j} c_ij^k x_i x_j, stored on g, and
     returned by every later call."""
     if g._complex is None:
-        g._require_instantiated("the differential")
         n = g.dim
         diffs = [{} for _ in range(n)]
         for (i, j), row in g.brackets.items():

@@ -23,8 +23,7 @@ from .catalog import (CatalogError, _parse_rational, builtin,
                       parse_catalog_file, parse_form)
 from .cecomplex import betti_numbers, build_complex
 from .detect import contact_decide, symplectic_decide, verify_claimed_form
-from .liealg import direct_product, instantiate_params, jacobi_violation, \
-    upper_central_series
+from .liealg import direct_product, jacobi_violation, upper_central_series
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -50,10 +49,9 @@ def _load_selection(args):
     """Resolve --builtin/path/--name into (algebra, entry-or-None) pairs."""
     bindings = _parse_bindings(getattr(args, "param", None))
     if args.builtin:
-        g = builtin(args.builtin)
-        if bindings:
-            g = instantiate_params(g, bindings)
-        return [(g, None)]
+        if bindings:  # a builtin has no parameter
+            raise ValueError("unknown parameter %r" % next(iter(bindings)))
+        return [(builtin(args.builtin), None)]
     if not args.path:
         raise ValueError("supply a catalog path or --builtin NAME")
     entries = parse_catalog_file(args.path)
@@ -61,7 +59,7 @@ def _load_selection(args):
         entries = [e for e in entries if e.name == args.name]
         if not entries:
             raise ValueError("no algebra named %r in %s" % (args.name, args.path))
-    return [(e.algebra(bindings or None), e) for e in entries]
+    return [(e.algebra(bindings), e) for e in entries]
 
 
 def _single_selection(args):

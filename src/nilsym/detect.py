@@ -66,11 +66,18 @@ class FormCheckReport:
 
 
 def _require_jacobi(g, what):
-    g._require_instantiated(what)
     bad = jacobi_violation(g)
     if bad is not None:
         raise ValueError("%s requires the Jacobi identity; violated at %r in %s"
                          % (what, bad, g.name))
+
+
+def _require_parity(g, kind):
+    """A symplectic form needs even dimension, a contact form odd."""
+    odd = kind == "contact"
+    if g.dim % 2 != odd:
+        raise ValueError("a %s form needs %s dimension; %s has dim %d"
+                         % (kind, "odd" if odd else "even", g.name, g.dim))
 
 
 # ---- generic forms with polynomial coefficients -------------------------
@@ -146,9 +153,7 @@ def pfaffian_polynomial(g):
     orderings are built and none is divided out.
     """
     _require_jacobi(g, "the symplectic decision")
-    if g.dim % 2:
-        raise ValueError("symplectic check needs even dimension; %s has dim %d"
-                         % (g.name, g.dim))
+    _require_parity(g, "symplectic")
     m = g.dim // 2
     basis = cocycle_basis(build_complex(g), 2)
     rows, L = integer_maps(b.terms for b in basis)
@@ -193,9 +198,7 @@ def contact_polynomial(g):
     d alpha is read off the complex's degree-1 images L * dx_k, L = scale.
     """
     _require_jacobi(g, "the contact decision")
-    if g.dim % 2 == 0:
-        raise ValueError("contact check needs odd dimension; %s has dim %d"
-                         % (g.name, g.dim))
+    _require_parity(g, "contact")
     if g.dim == 1:
         return MPoly(1)
     n = (g.dim - 1) // 2
@@ -232,22 +235,20 @@ def verify_claimed_form(g, form, kind):
                 in dimension 1 there is no d-form factor, and the contact
                 decision answers "no" there, so a claimed form is an error.
     """
-    g._require_instantiated("form verification")
     if form.dim != g.dim:
         raise ValueError("form lives in dimension %d, algebra has %d"
                          % (form.dim, g.dim))
+    if kind not in ("symplectic", "contact"):
+        raise ValueError("kind must be 'symplectic' or 'contact', got %r" % (kind,))
+    _require_parity(g, kind)
     complex_ = build_complex(g)
     if kind == "symplectic":
-        if g.dim % 2:
-            raise ValueError("symplectic form on odd-dimensional %s" % g.name)
         if not form.is_homogeneous(2):
             raise ValueError("symplectic candidate must be homogeneous of degree 2")
         closed = complex_.differential(form).is_zero()
         nondeg = not form.wedge_power(g.dim // 2).is_zero()
         checks = (("closed", closed), ("nondegenerate", nondeg))
-    elif kind == "contact":
-        if g.dim % 2 == 0:
-            raise ValueError("contact form on even-dimensional %s" % g.name)
+    else:
         if g.dim == 1:
             raise ValueError("contact form on one-dimensional %s; contact needs "
                              "dimension 3 or more" % g.name)
@@ -256,8 +257,6 @@ def verify_claimed_form(g, form, kind):
         n = (g.dim - 1) // 2
         top = form.wedge(complex_.differential(form).wedge_power(n))
         checks = (("contact-nondegenerate", not top.is_zero()),)
-    else:
-        raise ValueError("kind must be 'symplectic' or 'contact', got %r" % (kind,))
     return FormCheckReport(kind, checks)
 
 

@@ -1,10 +1,12 @@
 """Lie algebras over the rationals given by sparse structure constants.
 
 Brackets are stored only for i < j (1-based); [e_j, e_i] = -[e_i, e_j] is
-synthesized.  Coefficients are Fractions or, in one-parameter families,
-one-variable MPolys in the parameter (`lambda_coeff` turns one that does
-not depend on it into a Fraction); a family must be instantiated before
-any analysis.
+synthesized.  Coefficients are Fractions only: a compact nilmanifold exists
+for rational structure constants (Malcev 1949), so every analysis needs
+them.  A one-parameter family is a `catalog.CatalogEntry`, whose
+coefficients are one-variable MPolys in lambda, until
+`CatalogEntry.algebra` binds it; `LieAlgebra` rejects a coefficient that
+still depends on lambda.
 
 This module owns the input contract on structure constants: `LieAlgebra`
 holds the only check of a dimension, and `bracket_key` and `bracket_row`
@@ -25,9 +27,9 @@ MAX_DIM = 64
 
 
 def lambda_coeff(value):
-    """A structure constant as stored: a Fraction, or an MPoly in the one
-    parameter when it still depends on it.  An MPoly whose parameter terms
-    have cancelled becomes its constant Fraction."""
+    """A structure constant as a catalog entry stores it: a Fraction, or an
+    MPoly in the one parameter when it still depends on it.  An MPoly whose
+    parameter terms have cancelled becomes its constant Fraction."""
     if isinstance(value, MPoly):
         if value.total_degree() > 0:
             return value
@@ -68,50 +70,33 @@ def bracket_row(combo, sign, dim):
 class LieAlgebra:
     """A Lie algebra presented by rational structure constants.
 
-    Structural equality compares dimension, brackets and parameter state
-    only; names and labels are presentation data.
+    Structural equality compares dimension and brackets only; names and
+    labels are presentation data.
     """
 
-    def __init__(self, name, dim, brackets=None, basis_labels=None,
-                 dual_labels=None, param=None, param_exclusions=()):
+    def __init__(self, name, dim, brackets=None, dual_labels=None):
         if dim < 1:
             raise ValueError("dimension must be positive")
         if dim > MAX_DIM:  # checked before any label or cochain is built
             raise ValueError("dimension %d is over the limit of %d" % (dim, MAX_DIM))
         self.name = name
         self.dim = dim
-        self.param = param
-        self.param_exclusions = tuple(Fraction(x) for x in param_exclusions)
-        if basis_labels is None:
-            basis_labels = tuple("e%d" % i for i in range(1, dim + 1))
         if dual_labels is None:
             dual_labels = tuple("x%d" % i for i in range(1, dim + 1))
-        if len(basis_labels) != dim or len(dual_labels) != dim:
+        if len(dual_labels) != dim:
             raise ValueError("label count must equal dim")
-        self.basis_labels = tuple(basis_labels)
         self.dual_labels = tuple(dual_labels)
         table = {}
         for (i, j), combo in (brackets or {}).items():
             i, j, sign = bracket_key(i, j, dim, table)
             row = bracket_row(combo, sign, dim)
+            if any(isinstance(c, MPoly) for c in row.values()):
+                raise ValueError("bracket [%d,%d] depends on a parameter; bind "
+                                 "it with CatalogEntry.algebra" % (i, j))
             if row:
                 table[(i, j)] = row
         self.brackets = table
         self._complex = None  # set by cecomplex.build_complex on first use
-
-    # ---- parameter state ----
-
-    @property
-    def has_free_params(self):
-        return any(isinstance(c, MPoly)
-                   for row in self.brackets.values() for c in row.values())
-
-    def _require_instantiated(self, what):
-        if self.has_free_params:
-            raise ValueError("%s requires an instantiated algebra; "
-                             "parameter %r is unbound" % (what, self.param))
-
-    # ---- bracket evaluation ----
 
     def bracket_basis(self, i, j):
         """[e_i, e_j] as a sparse {k: Fraction} map."""
@@ -123,7 +108,6 @@ class LieAlgebra:
 
     def bracket(self, v, w):
         """[v, w] for coefficient vectors v, w of length dim."""
-        self._require_instantiated("bracket evaluation")
         out = [Fraction(0)] * self.dim
         for (i, j), row in self.brackets.items():
             f = v[i - 1] * w[j - 1] - v[j - 1] * w[i - 1]
@@ -135,8 +119,7 @@ class LieAlgebra:
     def __eq__(self, other):
         if not isinstance(other, LieAlgebra):
             return NotImplemented
-        return (self.dim == other.dim and self.brackets == other.brackets
-                and self.param == other.param)
+        return self.dim == other.dim and self.brackets == other.brackets
 
     def __repr__(self):
         return "LieAlgebra(%r, dim=%d, %d brackets)" % (
@@ -166,7 +149,6 @@ def jacobi_violation(g):
     is the l-th component of the Jacobiator of (e_i, e_j, e_k), so the
     lex-least monomial over all l is the lex-least violating triple.
     """
-    g._require_instantiated("Jacobi check")
     return d_squared_violation(build_complex(g))
 
 
@@ -188,7 +170,6 @@ def upper_central_series(g):
     table is built.  Stops when the series stabilizes; nilpotent iff it
     reaches dim.
     """
-    g._require_instantiated("upper central series")
     n = g.dim
     # ad[j] lists (i, {k: scale * c_ij^k}) for every nonzero [e_i, e_j]
     ad = [[] for _ in range(n + 1)]
@@ -231,20 +212,10 @@ def direct_product(g, h):
     brackets = {key: dict(row) for key, row in g.brackets.items()}
     for (i, j), row in h.brackets.items():
         brackets[(i + g.dim, j + g.dim)] = {k + g.dim: c for k, c in row.items()}
-    if h.dim == 1:
-        h_duals = ("y",)
-        h_basis = ("y",)
-    else:
-        h_duals = tuple("y%d" % i for i in range(1, h.dim + 1))
-        h_basis = tuple("f%d" % i for i in range(1, h.dim + 1))
-    if g.param is not None and h.param is not None and g.param != h.param:
-        raise ValueError("cannot mix parameters %r and %r" % (g.param, h.param))
-    return LieAlgebra(
-        "%s x %s" % (g.name, h.name), dim, brackets,
-        basis_labels=g.basis_labels + h_basis,
-        dual_labels=g.dual_labels + h_duals,
-        param=g.param if g.param is not None else h.param,
-        param_exclusions=g.param_exclusions + h.param_exclusions)
+    h_duals = ("y",) if h.dim == 1 else tuple(
+        "y%d" % i for i in range(1, h.dim + 1))
+    return LieAlgebra("%s x %s" % (g.name, h.name), dim, brackets,
+                      dual_labels=g.dual_labels + h_duals)
 
 
 def change_basis(g, matrix):
@@ -253,7 +224,6 @@ def change_basis(g, matrix):
     Row i of `matrix` expresses the new basis vector f_{i+1} in the old
     basis, so scaling e1 by 2 halves every constant targeting e1.
     """
-    g._require_instantiated("change of basis")
     n = g.dim
     rows = [[Fraction(x) for x in row] for row in matrix]
     if len(rows) != n or any(len(r) != n for r in rows):
@@ -265,29 +235,5 @@ def change_basis(g, matrix):
             u = g.bracket(rows[i], rows[j])
             brackets[(i + 1, j + 1)] = {
                 k + 1: sum(u[l] * inv[l][k] for l in range(n)) for k in range(n)}
-    return LieAlgebra(g.name, n, brackets,
-                      basis_labels=g.basis_labels, dual_labels=g.dual_labels)
+    return LieAlgebra(g.name, n, brackets, dual_labels=g.dual_labels)
 
-
-def instantiate_params(g, bindings):
-    """Substitute parameter bindings; the result has purely rational constants.
-
-    Every parameter occurring in the coefficients must be bound, unknown
-    names are rejected, and bindings that hit a documented excluded value
-    are rejected.
-    """
-    bindings = {name: Fraction(v) for name, v in bindings.items()}
-    for name in bindings:
-        if name != g.param:
-            raise ValueError("unknown parameter %r" % name)
-    if g.param in bindings and bindings[g.param] in g.param_exclusions:
-        raise ValueError("parameter %s = %s is excluded for %s"
-                         % (g.param, bindings[g.param], g.name))
-    if g.has_free_params and g.param not in bindings:
-        raise ValueError("parameter %r is unbound" % g.param)
-    point = [bindings.get(g.param)]
-    brackets = {key: {k: c.evaluate(point) if isinstance(c, MPoly) else c
-                      for k, c in row.items()}
-                for key, row in g.brackets.items()}
-    return LieAlgebra(g.name, g.dim, brackets,
-                      basis_labels=g.basis_labels, dual_labels=g.dual_labels)

@@ -134,10 +134,47 @@ def test_parse_lambda_coefficients():
     assert e.brackets[(1, 3)][3] == 2 * lam - 1
     g = e.algebra({"lambda": Fraction(1)})
     assert g.bracket_basis(1, 3) == {2: Fraction(1), 3: Fraction(1)}
-    with pytest.raises(ValueError):
-        e.algebra({"lambda": Fraction(1, 2)})  # excluded value
-    with pytest.raises(ValueError):
-        jacobi_holds(e.algebra())  # unbound parameter refuses analysis
+    with pytest.raises(ValueError, match="excluded"):
+        e.algebra({"lambda": Fraction(1, 2)})
+    with pytest.raises(ValueError, match="unbound"):
+        e.algebra()
+
+
+FAMILY_TEXT = """\
+algebra family
+dim 3
+param lambda exclude {0}
+bracket [1,2] = lambda*e3
+end
+"""
+
+# (catalog text, bindings, the algebra built, or the ValueError's text)
+BINDINGS = {
+    "bound": (FAMILY_TEXT, {"lambda": Fraction(1, 2)},
+              LieAlgebra("family", 3, {(1, 2): {3: Fraction(1, 2)}})),
+    "no-parameter": (HEISENBERG5_TEXT, None, builtin("heisenberg:5")),
+    "unbound": (FAMILY_TEXT, None, "parameter 'lambda' is unbound"),
+    "excluded": (FAMILY_TEXT, {"lambda": 0},
+                 "parameter lambda = 0 is excluded for family"),
+    "unknown-name": (FAMILY_TEXT, {"mu": 1}, "unknown parameter 'mu'"),
+    "unknown-name-no-parameter": (HEISENBERG5_TEXT, {"lambda": 1},
+                                  "unknown parameter 'lambda'"),
+}
+
+
+@pytest.mark.parametrize("text, bindings, expected", BINDINGS.values(),
+                         ids=BINDINGS.keys())
+def test_catalog_entry_algebra_binds_families(text, bindings, expected):
+    (entry,) = parse_catalog(text)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as err:
+            entry.algebra(bindings)
+        assert str(err.value) == expected
+    else:
+        g = entry.algebra(bindings)
+        assert g == expected and g.name == entry.name
+        assert all(isinstance(c, Fraction)
+                   for row in g.brackets.values() for c in row.values())
 
 
 def test_parse_lambda_without_declaration_rejected():

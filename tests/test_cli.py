@@ -181,6 +181,14 @@ def test_param_binding_through_cli(tmp_path, capsys):
     assert "excluded" in err
 
 
+def test_param_on_a_builtin_is_an_unknown_parameter(capsys):
+    code, out, err = run(capsys, "check", "--builtin", "heisenberg:5",
+                         "--param", "lambda=1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown parameter 'lambda'\n"
+
+
 def test_param_value_is_a_catalog_rational(tmp_path, capsys):
     path = tmp_path / "fam.cat"
     path.write_text(FAMILY_CAT)
@@ -254,6 +262,19 @@ def test_report_lambda_power_over_limit_is_an_error_row(tmp_path, capsys):
     [error] = payload["errors"]
     assert error["file"] == "big.cat"
     assert error["error"].startswith("line 4, column 17: ")
+
+
+def test_report_unbound_family_is_an_error_row(tmp_path, capsys):
+    (tmp_path / "fam.cat").write_text(FAMILY_CAT)
+    (tmp_path / "ok.cat").write_text("algebra a2\ndim 2\nend\n")
+    out_json = tmp_path / "report.json"
+    code, out, _ = run(capsys, "report", str(tmp_path), "--json", str(out_json))
+    assert code == 2
+    assert "a2" in out
+    payload = json.loads(out_json.read_text())
+    assert [row["name"] for row in payload["algebras"]] == ["a2"]
+    assert payload["errors"] == [{"file": "fam.cat", "entry": "fam",
+                                  "error": "parameter 'lambda' is unbound"}]
 
 
 def test_report_number_over_the_int_digit_limit_is_an_error_row(tmp_path, capsys):

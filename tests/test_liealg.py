@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from nilsym import (LieAlgebra, MPoly, builtin, change_basis,
-                    direct_product, instantiate_params, jacobi_holds,
-                    jacobi_violation, upper_central_series)
+                    direct_product, jacobi_holds, jacobi_violation,
+                    upper_central_series)
 from helpers import (identity, oracle_jacobi_violation, oracle_ucs,
                      random_invertible, rnd_nonzero_fraction)
 
@@ -60,11 +60,18 @@ def test_jacobi_violation_matches_triple_loop_oracle():
     assert 400 <= violating <= 800
 
 
-def test_jacobi_violation_unbound_parameter_message():
+def test_lie_algebra_rejects_parameter_dependent_coefficients():
+    # A family is bound by CatalogEntry.algebra; an algebra is rational.
+    lam = MPoly.variable(1, 0)
     with pytest.raises(ValueError) as err:
-        jacobi_violation(family_147E_like())
-    assert str(err.value) == ("Jacobi check requires an instantiated algebra; "
-                              "parameter 'lambda' is unbound")
+        LieAlgebra("fam", 3, {(1, 2): {3: MPoly.variable(1, 0)}})
+    assert str(err.value) == ("bracket [1,2] depends on a parameter; bind it "
+                              "with CatalogEntry.algebra")
+    with pytest.raises(ValueError, match=r"bracket \[1,3\] depends"):
+        LieAlgebra("fam", 3, {(3, 1): {2: 1, 3: 2 * lam - 1}})
+    # a polynomial whose parameter terms cancel is its constant
+    g = LieAlgebra("g", 3, {(1, 2): {3: 1 + lam - lam}})
+    assert g.brackets == {(1, 2): {3: Fraction(1)}}
 
 
 def test_bracket_antisymmetry_synthesized():
@@ -176,42 +183,6 @@ def test_change_basis_singular_rejected():
                      [[Fraction(0)] * 5 for _ in range(5)])
 
 
-def family_147E_like():
-    """A one-parameter toy family: [e1,e2] = lambda*e3 with lambda != 0."""
-    lam = MPoly.variable(1, 0)
-    return LieAlgebra("family", 3, {(1, 2): {3: lam}},
-                      param="lambda", param_exclusions=(Fraction(0),))
-
-
-def test_instantiate_binds_parameter():
-    g = instantiate_params(family_147E_like(), {"lambda": Fraction(1, 2)})
-    assert g.bracket_basis(1, 2) == {3: Fraction(1, 2)}
-    assert not g.has_free_params
-
-
-def test_instantiate_no_params_no_bindings_unchanged():
-    h5 = builtin("heisenberg:5")
-    assert instantiate_params(h5, {}) == h5
-
-
-def test_instantiate_unbound_parameter_rejected():
-    g = family_147E_like()
-    with pytest.raises(ValueError):
-        instantiate_params(g, {})
-    with pytest.raises(ValueError):
-        jacobi_holds(g)  # analyses refuse parametric algebras
-
-
-def test_instantiate_excluded_value_rejected():
-    with pytest.raises(ValueError):
-        instantiate_params(family_147E_like(), {"lambda": Fraction(0)})
-
-
-def test_instantiate_unknown_parameter_rejected():
-    with pytest.raises(ValueError):
-        instantiate_params(builtin("heisenberg:5"), {"mu": Fraction(1)})
-
-
 def test_param_poly_arithmetic_and_eval():
     lam = MPoly.variable(1, 0)
     p = 2 * lam - 1
@@ -221,14 +192,6 @@ def test_param_poly_arithmetic_and_eval():
     assert (lam * lam).evaluate([Fraction(3)]) == 9
     assert (p - p).is_zero
     assert (1 - lam).evaluate([Fraction(4)]) == -3
-
-
-def test_parametric_algebras_refuse_structural_ops():
-    g = family_147E_like()
-    with pytest.raises(ValueError):
-        change_basis(g, identity(3))
-    with pytest.raises(ValueError):
-        upper_central_series(g)
 
 
 def test_jacobi_invariant_under_change_of_basis():
