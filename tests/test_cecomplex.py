@@ -8,7 +8,7 @@ import pytest
 from nilsym import (LieAlgebra, Multivector, betti_numbers, build_complex,
                     builtin, change_basis, cocycle_basis, d_squared_is_zero,
                     direct_product, indices_of, jacobi_holds,
-                    jacobi_violation, parse_catalog_file)
+                    jacobi_violation, parse_catalog, parse_catalog_file)
 from nilsym.cecomplex import (degree_monomials, differential_matrix,
                               is_unimodular)
 from helpers import (oracle_cocycle_basis, oracle_differential,
@@ -279,6 +279,21 @@ def test_one_complex_per_algebra_object():
     assert build_complex(h) is not c
     assert build_complex(h) is build_complex(h)
     assert build_complex(builtin("g13457C")) is not c
+
+
+def test_unbound_family_raises_the_same_error_every_call():
+    # The family is refused where it is bound, before build_complex or the
+    # Jacobi check could see it, and with the same text on every call.
+    (entry,) = parse_catalog("algebra fam\ndim 3\nparam lambda\n"
+                             "bracket [1,2] = lambda*e3\nend\n")
+    for _ in range(2):
+        with pytest.raises(ValueError) as err:
+            build_complex(entry.algebra())
+        assert str(err.value) == "parameter 'lambda' is unbound"
+        with pytest.raises(ValueError) as err:
+            jacobi_violation(entry.algebra())
+        assert str(err.value) == "parameter 'lambda' is unbound"
+    assert jacobi_violation(entry.algebra({"lambda": 1})) is None
 
 
 def r2():

@@ -5,7 +5,7 @@ import pytest
 
 from nilsym import (LieAlgebra, MPoly, builtin, change_basis,
                     direct_product, jacobi_holds, jacobi_violation,
-                    upper_central_series)
+                    parse_catalog, upper_central_series)
 from helpers import (identity, oracle_jacobi_violation, oracle_ucs,
                      random_invertible, rnd_nonzero_fraction)
 
@@ -72,6 +72,41 @@ def test_lie_algebra_rejects_parameter_dependent_coefficients():
     # a polynomial whose parameter terms cancel is its constant
     g = LieAlgebra("g", 3, {(1, 2): {3: 1 + lam - lam}})
     assert g.brackets == {(1, 2): {3: Fraction(1)}}
+
+
+def family_147E_like():
+    """A one-parameter toy family: [e1,e2] = lambda*e3 with lambda != 0."""
+    (entry,) = parse_catalog("algebra family\ndim 3\nparam lambda exclude {0}\n"
+                             "bracket [1,2] = lambda*e3\nend\n")
+    return entry
+
+
+def test_jacobi_violation_unbound_parameter_message():
+    # The unbound family is refused before any Jacobi check can see it;
+    # bound, it is an ordinary rational algebra the check accepts.
+    with pytest.raises(ValueError) as err:
+        jacobi_violation(family_147E_like().algebra())
+    assert str(err.value) == "parameter 'lambda' is unbound"
+    assert jacobi_violation(family_147E_like().algebra({"lambda": 2})) is None
+
+
+def test_instantiate_unbound_parameter_rejected():
+    entry = family_147E_like()
+    with pytest.raises(ValueError, match="parameter 'lambda' is unbound"):
+        entry.algebra({})
+    with pytest.raises(ValueError, match="depends on a parameter"):
+        LieAlgebra("family", 3, entry.brackets)  # no way round the binding
+
+
+def test_parametric_algebras_refuse_structural_ops():
+    # A parametric algebra cannot be built, so change_basis and the central
+    # series only ever see a bound one.
+    entry = family_147E_like()
+    with pytest.raises(ValueError, match=r"bracket \[1,2\] depends"):
+        LieAlgebra("family", 3, entry.brackets)
+    g = entry.algebra({"lambda": Fraction(1, 2)})
+    assert change_basis(g, identity(3)) == g
+    assert upper_central_series(g).dims == (1, 3)
 
 
 def test_bracket_antisymmetry_synthesized():
