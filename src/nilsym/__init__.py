@@ -9,9 +9,9 @@ ship a rational witness form.
 from .exterior import Multivector, indices_of, mask_of, wedge_sign
 from .mpoly import MPoly, find_nonvanishing_point
 from .liealg import (LieAlgebra, UcsProfile, change_basis, direct_product,
-                     jacobi_holds, jacobi_violation, upper_central_series)
+                     jacobi_violation, upper_central_series)
 from .cecomplex import (CEComplex, CochainBasisReport, betti_numbers,
-                        build_complex, cocycle_basis, d_squared_is_zero)
+                        build_complex, cocycle_basis)
 from .detect import (ContactVerdict, FormCheckReport, SymplecticVerdict,
                      contact_decide, contact_polynomial, pfaffian_polynomial,
                      product_symplectic_witness, symplectic_decide,
@@ -27,9 +27,9 @@ __all__ = [
     "CEComplex", "CochainBasisReport", "SymplecticVerdict", "ContactVerdict",
     "FormCheckReport", "CatalogEntry", "CatalogError",
     "mask_of", "indices_of", "wedge_sign", "find_nonvanishing_point",
-    "jacobi_holds", "jacobi_violation", "upper_central_series",
+    "jacobi_violation", "upper_central_series",
     "direct_product", "change_basis",
-    "build_complex", "d_squared_is_zero", "cocycle_basis",
+    "build_complex", "cocycle_basis",
     "betti_numbers", "symplectic_decide", "contact_decide",
     "pfaffian_polynomial", "contact_polynomial",
     "product_symplectic_witness", "verify_claimed_form",

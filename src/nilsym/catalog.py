@@ -36,7 +36,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exterior import Multivector, wedge_sign
+from .exterior import Multivector, signed_sum, wedge_sign
 from .liealg import MAX_DIM, LieAlgebra, bracket_key, bracket_row
 from .mpoly import MPoly
 
@@ -238,44 +238,32 @@ class CatalogEntry:
         return "\n".join(lines)
 
 
-def _scaled(mag, text):
-    return text if mag == 1 else "%s*%s" % (mag, text)
-
-
 def _lambda_power(d):
     return "lambda" if d == 1 else "lambda^%d" % d
 
 
 def _render_lambda(p):
-    """A lambda-polynomial by descending degree with no spaces, e.g.
-    `lambda^3-1/3`; the caller parenthesizes it."""
-    out = ""
-    for key, c in sorted(p.terms.items(), reverse=True):
-        body = _scaled(abs(c), _lambda_power(len(key))) if key else str(abs(c))
-        out += ("-" if c < 0 else "+" if out else "") + body
-    return out
+    """A lambda-polynomial by descending degree, in `signed_sum`'s layout
+    without its spaces, e.g. `lambda^3-1/3`; the caller parenthesizes it."""
+    return signed_sum((c, _lambda_power(len(key)) if key else "")
+                      for key, c in sorted(p.terms.items(), reverse=True)
+                      ).replace(" ", "")
 
 
 def _render_combo(combo):
     """Targets in order; a constant or lambda-monomial coefficient comes out
     bare with its sign (`- 2*lambda^2*e4`), a longer polynomial in
     parentheses (`+ (2*lambda-1)*e3`)."""
-    parts = []
+    terms = []
     for k in sorted(combo):
-        c = combo[k]
-        target = "e%d" % k
+        c, target = combo[k], "e%d" % k
         if isinstance(c, MPoly) and len(c.terms) > 1:
-            neg, body = False, "(%s)*%s" % (_render_lambda(c), target)
-        else:
-            if isinstance(c, MPoly):
-                (key, c), = c.terms.items()
-                target = "%s*%s" % (_lambda_power(len(key)), target)
-            neg, body = c < 0, _scaled(abs(c), target)
-        if not parts:
-            parts.append("-" + body if neg else body)
-        else:
-            parts.append(("- " if neg else "+ ") + body)
-    return " ".join(parts)
+            c, target = 1, "(%s)*%s" % (_render_lambda(c), target)
+        elif isinstance(c, MPoly):
+            (key, c), = c.terms.items()
+            target = "%s*%s" % (_lambda_power(len(key)), target)
+        terms.append((c, target))
+    return signed_sum(terms)
 
 
 def render_catalog(entries):

@@ -6,7 +6,8 @@ x_i x_j and extended as a graded derivation; d^2 = 0 is then exactly the
 Jacobi identity.  The coefficient of x_i x_j x_l in d(dx_k) is the k-th
 component of the Jacobiator of (e_i, e_j, e_l), so d_squared_violation reads
 the first violating triple off the 3-forms d(dx_k); this is the package's
-only Jacobi check.
+only Jacobi check: `liealg.jacobi_violation` is its public query, and
+`require_jacobi`, which Betti numbers and both decisions call, its precondition.
 
 There is one complex per algebra object: `build_complex` stores it on the
 algebra, so the Jacobi check, Betti numbers, cocycles, the contact
@@ -138,9 +139,13 @@ def _first_violation(c):
                 for m in c.differential(dxk).terms), default=None)
 
 
-def d_squared_is_zero(c):
-    """Equivalent to the Jacobi identity for the underlying algebra."""
-    return d_squared_violation(c) is None
+def require_jacobi(c, what):
+    """Raise ValueError, naming `what` and the lex-least violating triple,
+    unless d^2 = 0 on c, i.e. unless its algebra satisfies Jacobi."""
+    bad = d_squared_violation(c)
+    if bad is not None:
+        raise ValueError("%s requires the Jacobi identity; violated at %r in %s"
+                         % (what, bad, c.name))
 
 
 def degree_monomials(n, d):
@@ -226,8 +231,7 @@ def betti_numbers(c):
     Rejects complexes whose differential does not square to zero (i.e.
     algebras failing Jacobi), where the quotient is meaningless.
     """
-    if not d_squared_is_zero(c):
-        raise ValueError("d^2 != 0: %r does not define a complex" % (c.name,))
+    require_jacobi(c, "the Betti computation")
     n = c.dim
     top = (n - 1) // 2 if c.unimodular else n - 1
     ranks = [rank(image for image in c.images(p).values() if image)

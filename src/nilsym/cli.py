@@ -46,20 +46,26 @@ def _parse_bindings(pairs):
 
 
 def _load_selection(args):
-    """Resolve --builtin/path/--name into (algebra, entry-or-None) pairs."""
+    """Resolve --builtin/path/--name into (algebra, entry-or-None) pairs,
+    binding each entry only to its own parameter; a name no selected entry
+    declares (any name, with --builtin) is an unknown parameter."""
     bindings = _parse_bindings(getattr(args, "param", None))
+    entries = []
+    if not args.builtin:
+        if not args.path:
+            raise ValueError("supply a catalog path or --builtin NAME")
+        entries = parse_catalog_file(args.path)
+        if getattr(args, "name", None):
+            entries = [e for e in entries if e.name == args.name]
+            if not entries:
+                raise ValueError("no algebra named %r in %s" % (args.name, args.path))
+    unknown = [name for name in bindings if name not in {e.param for e in entries}]
+    if unknown:
+        raise ValueError("unknown parameter %r" % unknown[0])
     if args.builtin:
-        if bindings:  # a builtin has no parameter
-            raise ValueError("unknown parameter %r" % next(iter(bindings)))
         return [(builtin(args.builtin), None)]
-    if not args.path:
-        raise ValueError("supply a catalog path or --builtin NAME")
-    entries = parse_catalog_file(args.path)
-    if getattr(args, "name", None):
-        entries = [e for e in entries if e.name == args.name]
-        if not entries:
-            raise ValueError("no algebra named %r in %s" % (args.name, args.path))
-    return [(e.algebra(bindings), e) for e in entries]
+    return [(e.algebra({n: v for n, v in bindings.items() if n == e.param}), e)
+            for e in entries]
 
 
 def _single_selection(args):

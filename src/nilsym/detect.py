@@ -16,15 +16,17 @@ all C(2m, 2s).
 A polynomial with rational coefficients vanishes identically over the reals
 iff it is the zero polynomial, so deciding over the formal polynomial ring
 is sound and complete for real existence, and rational witnesses suffice.
+Both expansions assume d^2 = 0 and check it first with
+`cecomplex.require_jacobi`, on the complex they then read.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .cecomplex import build_complex, cocycle_basis
+from .cecomplex import build_complex, cocycle_basis, require_jacobi
 from .exterior import Multivector, indices_of, wedge_sign
-from .liealg import direct_product, jacobi_violation
+from .liealg import direct_product
 from .linalg import integer_maps
 from .mpoly import MPoly, find_nonvanishing_point
 
@@ -63,13 +65,6 @@ class FormCheckReport:
         if self.passed:
             return "pass"
         return "fail: " + ", ".join(self.failed_checks)
-
-
-def _require_jacobi(g, what):
-    bad = jacobi_violation(g)
-    if bad is not None:
-        raise ValueError("%s requires the Jacobi identity; violated at %r in %s"
-                         % (what, bad, g.name))
 
 
 def _require_parity(g, kind):
@@ -152,10 +147,11 @@ def pfaffian_polynomial(g):
     of the 2m indices at a time (the Pfaffian's row expansion), so no m!
     orderings are built and none is divided out.
     """
-    _require_jacobi(g, "the symplectic decision")
+    complex_ = build_complex(g)
+    require_jacobi(complex_, "the symplectic decision")
     _require_parity(g, "symplectic")
     m = g.dim // 2
-    basis = cocycle_basis(build_complex(g), 2)
+    basis = cocycle_basis(complex_, 2)
     rows, L = integer_maps(b.terms for b in basis)
     omega = _generic_combination(rows)
     acc = _wedge_matchings({0: {(): 1}}, omega, m)
@@ -197,12 +193,12 @@ def contact_polynomial(g):
     gives alpha ^ (d alpha)^n / n!; the result is multiplied back by n!.
     d alpha is read off the complex's degree-1 images L * dx_k, L = scale.
     """
-    _require_jacobi(g, "the contact decision")
+    complex_ = build_complex(g)
+    require_jacobi(complex_, "the contact decision")
     _require_parity(g, "contact")
     if g.dim == 1:
         return MPoly(1)
     n = (g.dim - 1) // 2
-    complex_ = build_complex(g)
     L = complex_.scale
     d_alpha = _generic_combination(complex_.images(1).values())
     alpha = {1 << i: {(i,): 1} for i in range(g.dim)}

@@ -7,7 +7,7 @@ Multivector is a sparse map from monomial bitmask to a nonzero Fraction;
 the zero element has an empty map and all arithmetic is exact.
 
 The text rendering (`1/2*x1^x2 - x3^x4`) is the canonical form used by the
-catalog form grammar and the CLI.
+catalog form grammar and the CLI; `signed_sum` writes it and every other sum.
 """
 
 from fractions import Fraction
@@ -56,6 +56,25 @@ def wedge_sign(a, b):
         inv += (b & (low - 1)).bit_count()
         rest ^= low
     return -1 if inv & 1 else 1
+
+
+def signed_sum(terms):
+    """The text of a sum of (coefficient, body) pairs, as every rendering in
+    the package writes it: `c*body`, the first term with a bare `-`, later
+    ones after ` + ` or ` - `.  A unit magnitude is left out, an empty body
+    prints the bare magnitude, and no terms print `0`."""
+    parts = []
+    for c, body in terms:
+        mag = abs(c)
+        if not body:
+            body = str(mag)
+        elif mag != 1:
+            body = "%s*%s" % (mag, body)
+        if parts:
+            parts.append(("- " if c < 0 else "+ ") + body)
+        else:
+            parts.append("-" + body if c < 0 else body)
+    return " ".join(parts) or "0"
 
 
 class Multivector:
@@ -231,34 +250,16 @@ class Multivector:
     # ---- rendering ----
 
     def render(self, labels=None):
-        """Canonical text form: `c*xi^xj` terms joined by ` + ` / ` - `.
-
-        Unit coefficients are dropped, the empty monomial prints as a bare
-        rational, and terms are ordered lexicographically by index tuple.
-        """
+        """Canonical text form: `c*xi^xj` terms in `signed_sum`'s layout,
+        ordered lexicographically by index tuple; the empty monomial prints
+        as a bare rational."""
         if labels is None:
             labels = ["x%d" % i for i in range(1, self.dim + 1)]
         elif len(labels) != self.dim:
             raise ValueError("need %d labels, got %d" % (self.dim, len(labels)))
-        if not self.terms:
-            return "0"
-        parts = []
-        for mask in self.monomials():
-            c = self.terms[mask]
-            idxs = indices_of(mask)
-            mono = "^".join(labels[i - 1] for i in idxs)
-            mag = abs(c)
-            if not idxs:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = "%s*%s" % (mag, mono)
-            if not parts:
-                parts.append("-" + body if c < 0 else body)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(parts)
+        return signed_sum((self.terms[mask],
+                           "^".join(labels[i - 1] for i in indices_of(mask)))
+                          for mask in self.monomials())
 
     def __str__(self):
         return self.render()

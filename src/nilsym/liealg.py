@@ -147,13 +147,10 @@ def jacobi_violation(g):
 
     Read off d(dx_l) for every l: the coefficient of x_i x_j x_k in d(dx_l)
     is the l-th component of the Jacobiator of (e_i, e_j, e_k), so the
-    lex-least monomial over all l is the lex-least violating triple.
+    lex-least monomial over all l is the lex-least violating triple.  This
+    is the package's one Jacobi query; Jacobi holds iff it returns None.
     """
     return d_squared_violation(build_complex(g))
-
-
-def jacobi_holds(g):
-    return jacobi_violation(g) is None
 
 
 def upper_central_series(g):

@@ -11,6 +11,8 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import chain, groupby
 
+from .exterior import signed_sum
+
 
 def _merge(pairs):
     """Sum (monomial, coefficient) pairs into a term map with no zeros."""
@@ -161,24 +163,10 @@ class MPoly:
         return MPoly._of(self.nvars, _merge(restricted()))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms, key=lambda k: (len(k), k)):
-            c = self.terms[key]
-            mono = "*".join(_power(i, len(list(run))) for i, run in groupby(key))
-            mag = abs(c)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = "%s*%s" % (mag, mono)
-            if not parts:
-                parts.append("-" + body if c < 0 else body)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(parts)
+        return signed_sum(
+            (self.terms[key], "*".join(_power(i, len(list(run)))
+                                       for i, run in groupby(key)))
+            for key in sorted(self.terms, key=lambda k: (len(k), k)))
 
     def __repr__(self):
         return "MPoly(%d, %s)" % (self.nvars, self)

@@ -376,6 +376,12 @@ def oracle_differential(c, f):
     return Multivector(c.dim, acc)
 
 
+def oracle_d_squared_vanishes(c):
+    """d(dx_k) = 0 for every k, computed with `oracle_differential` rather
+    than read off the complex's d^2 verdict."""
+    return not any(oracle_differential(c, dxk) for dxk in c.generator_differentials)
+
+
 def oracle_cocycle_basis(c, degree):
     """Basis of the closed degree-p forms: `oracle_kernel_basis` of the
     dense matrix of d over lex-ordered monomials, its columns built by

@@ -189,6 +189,22 @@ def test_param_on_a_builtin_is_an_unknown_parameter(capsys):
     assert err == "error: unknown parameter 'lambda'\n"
 
 
+def test_param_binds_only_the_entries_that_declare_it(tmp_path, capsys):
+    path = tmp_path / "mixed.cat"
+    path.write_text(FAMILY_CAT + "\nalgebra h3\ndim 3\nbracket [1,2] = e3\nend\n")
+    code, out, _ = run(capsys, "check", str(path), "--param", "lambda=1")
+    assert code == 0
+    assert "algebra: fam" in out and "algebra: h3" in out
+    assert out.count("jacobi: yes") == 2
+    for argv, err_text in (
+            (("--param", "mu=1"), "error: unknown parameter 'mu'\n"),
+            (("--name", "h3", "--param", "lambda=1"),
+             "error: unknown parameter 'lambda'\n"),
+            ((), "error: parameter 'lambda' is unbound\n")):
+        code, out, err = run(capsys, "check", str(path), *argv)
+        assert (code, out, err) == (2, "", err_text), argv
+
+
 def test_param_value_is_a_catalog_rational(tmp_path, capsys):
     path = tmp_path / "fam.cat"
     path.write_text(FAMILY_CAT)

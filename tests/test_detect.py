@@ -93,8 +93,19 @@ def test_pfaffian_rejects_odd_dimension_and_violators():
         pfaffian_polynomial(builtin("abelian:5"))
     bad = LieAlgebra("violator", 4, {
         (1, 2): {3: 1}, (2, 3): {1: 1}, (1, 3): {1: -1}})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         pfaffian_polynomial(bad)
+    assert str(err.value) == ("the symplectic decision requires the Jacobi "
+                              "identity; violated at (1, 2, 3) in violator")
+
+
+def test_contact_polynomial_rejects_violators():
+    bad = LieAlgebra("violator", 3, {
+        (1, 2): {3: 1}, (2, 3): {1: 1}, (1, 3): {1: -1}})
+    with pytest.raises(ValueError) as err:
+        contact_polynomial(bad)
+    assert str(err.value) == ("the contact decision requires the Jacobi "
+                              "identity; violated at (1, 2, 3) in violator")
 
 
 # ---- symplectic decisions ---------------------------------------------------

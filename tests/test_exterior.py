@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from nilsym import Multivector, indices_of, mask_of, wedge_sign
+from nilsym.exterior import signed_sum
 from helpers import random_multivector, rnd_fraction
 
 
@@ -125,6 +126,17 @@ def test_render_canonical_text():
     assert Multivector.zero(4).render() == "0"
     assert Multivector.unit(4).render() == "1"
     assert (-mono(3, 1, 2)).render() == "-x1^x2"
+
+
+@pytest.mark.parametrize("terms, text", [
+    ([], "0"),
+    ([(-2, "x1"), (3, "x2")], "-2*x1 + 3*x2"),
+    ([(1, "x1^x2"), (-1, "x3^x4")], "x1^x2 - x3^x4"),
+    ([(Fraction(-3, 4), ""), (1, "t1")], "-3/4 + t1"),
+    ([(1, "t1"), (Fraction(1, 2), "t2^2")], "t1 + 1/2*t2^2"),
+])
+def test_signed_sum_layout(terms, text):
+    assert signed_sum(terms) == text
 
 
 def test_render_with_labels():
