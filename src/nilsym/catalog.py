@@ -33,7 +33,7 @@ as any positive integer; `CatalogEntry.algebra` rejects one above
 
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exterior import Multivector, signed_sum, wedge_sign
@@ -187,16 +187,12 @@ def _parse_bracket_rhs(text, param, line):
     return combo
 
 
-@dataclass
-class CatalogEntry:
+class CatalogEntry(namedtuple("CatalogEntry",
+                              "name dim brackets param param_exclusions claimed_forms",
+                              defaults=(None, (), ()))):
     """One parsed algebra definition plus any claimed forms."""
 
-    name: str
-    dim: int
-    brackets: dict
-    param: str | None = None
-    param_exclusions: tuple = ()
-    claimed_forms: tuple = ()
+    __slots__ = ()
 
     def algebra(self, bindings=None):
         """The LieAlgebra of this entry, with `bindings` {name: rational}

@@ -37,13 +37,18 @@ CHANGES.md).  The differentials are sparse, and `rref` updates only the
 pivot row's nonzero columns.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 from .exterior import Multivector, mask_of, indices_of, wedge_sign
 from .linalg import integer_maps, kernel_basis, rank
+
+# The most monomials one ranked degree of `betti_numbers` may hold:
+# C(17, 8) = 24310 fits, so every dimension up to 17 is ranked in full,
+# while abelian:64 stops before degree 3 (C(64, 3) = 41664).
+BETTI_BUDGET = 25000
 
 
 class CEComplex:
@@ -195,12 +200,9 @@ def cocycle_basis(c, degree):
     return out
 
 
-@dataclass(frozen=True)
-class CochainBasisReport:
-    degree: int
-    dim_cochains: int
-    dim_cocycles: int
-    dim_coboundaries: int
+class CochainBasisReport(namedtuple("CochainBasisReport", "degree dim_cochains "
+                                    "dim_cocycles dim_coboundaries")):
+    __slots__ = ()
 
     @property
     def betti(self):
@@ -229,11 +231,17 @@ def betti_numbers(c):
     rank d_p = rank d_{dim-1-p} gives the rest; otherwise every degree is
     ranked.  d is zero on the top degree.
     Rejects complexes whose differential does not square to zero (i.e.
-    algebras failing Jacobi), where the quotient is meaningless.
+    algebras failing Jacobi), where the quotient is meaningless, and,
+    before building any degree, those with a ranked degree of more than
+    BETTI_BUDGET monomials.
     """
     require_jacobi(c, "the Betti computation")
     n = c.dim
     top = (n - 1) // 2 if c.unimodular else n - 1
+    for p in range(top + 1):
+        if comb(n, p) > BETTI_BUDGET:
+            raise ValueError("Betti degree %d of %s has %d monomials, over the "
+                             "budget of %d" % (p, c.name, comb(n, p), BETTI_BUDGET))
     ranks = [rank(image for image in c.images(p).values() if image)
              for p in range(top + 1)]
     ranks += [ranks[n - 1 - p] for p in range(top + 1, n)]

@@ -3,8 +3,9 @@ emit stable human tables and machine JSON.
 
 `check`, `symplectic`, `contact` and `report` all build their rows with one
 `_analyze`, which runs the named parts of the analysis on one algebra; the
-first three print a row with `_print_row`, and `report` analyzes its
-entries one after another and prints one line per row.
+first three print a row with `_print_row`, and `report` reads its catalog
+files one at a time, analyzes each file's entries one after another and
+prints one line per row.  JSON is streamed to its file, never held whole.
 
 Exit codes: 0 success (or "admits"), 1 honest negative verdict / failed
 verification, 2 parse or usage errors.  JSON output is deterministic
@@ -161,12 +162,18 @@ def _analyze(g, entry, parts):
 
 
 def _write_json(path, payload):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """The payload as indented JSON with sorted keys and a final newline,
+    streamed to `path` ('-' for stdout) chunk by chunk, never held whole."""
     if path == "-":
-        sys.stdout.write(text)
+        _dump_json(sys.stdout, payload)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _dump_json(fh, payload)
+
+
+def _dump_json(fh, payload):
+    json.dump(payload, fh, sort_keys=True, indent=2)
+    fh.write("\n")
 
 
 def _bool_word(flag):
@@ -264,26 +271,29 @@ def _cmd_report(args):
         names = sorted(n for n in os.listdir(directory) if n.endswith(".cat"))
     except OSError as exc:
         raise ValueError("cannot read directory %s: %s" % (directory, exc))
-    errors = []
-    work = []  # (file, entry)
-    for fname in names:
-        path = os.path.join(directory, fname)
-        try:
-            for entry in parse_catalog_file(path):
-                work.append((fname, entry))
-        except (CatalogError, OSError) as exc:
-            errors.append({"file": fname, "error": str(exc)})
+    # One file's entries are held at a time: each file is parsed and its
+    # entries analyzed before the next is read.  File errors still come
+    # before entry errors.
+    file_errors, entry_errors = [], []
     results = []  # (row, ms)
-    for fname, entry in work:
+    for fname in names:
         try:
-            row, ms = _analyze(entry.algebra(), entry,
-                               ("check", "symplectic", "contact"))
-        except (CatalogError, ValueError) as exc:
-            errors.append({"file": fname, "entry": entry.name, "error": str(exc)})
+            entries = parse_catalog_file(os.path.join(directory, fname))
+        except (CatalogError, OSError) as exc:
+            file_errors.append({"file": fname, "error": str(exc)})
             continue
-        row["file"] = fname
-        results.append((row, ms))
+        for entry in entries:
+            try:
+                row, ms = _analyze(entry.algebra(), entry,
+                                   ("check", "symplectic", "contact"))
+            except (CatalogError, ValueError) as exc:
+                entry_errors.append({"file": fname, "entry": entry.name,
+                                     "error": str(exc)})
+                continue
+            row["file"] = fname
+            results.append((row, ms))
     results.sort(key=lambda pair: (pair[0]["dim"], pair[0]["name"]))
+    errors = file_errors + entry_errors
 
     flagged = False
     for row, ms in results:

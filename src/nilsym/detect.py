@@ -20,7 +20,7 @@ Both expansions assume d^2 = 0 and check it first with
 `cecomplex.require_jacobi`, on the complex they then read.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
@@ -31,27 +31,25 @@ from .linalg import integer_maps
 from .mpoly import MPoly, find_nonvanishing_point
 
 
-@dataclass(frozen=True)
-class SymplecticVerdict:
-    admits: bool
-    witness: Multivector | None
-    pfaffian_nvars: int
-    pfaffian_degree: int
-    certificate_kind: str  # "witness" | "identically-zero-pfaffian"
+class SymplecticVerdict(namedtuple("SymplecticVerdict", "admits witness pfaffian_nvars "
+                                   "pfaffian_degree certificate_kind")):
+    """`witness` is a Multivector or None; `certificate_kind` is "witness"
+    or "identically-zero-pfaffian"."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ContactVerdict:
-    admits: bool
-    witness: Multivector | None
+class ContactVerdict(namedtuple("ContactVerdict", "admits witness")):
+    """`witness` is a Multivector or None."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FormCheckReport:
-    """Outcome of checking one claimed form, check by check."""
+class FormCheckReport(namedtuple("FormCheckReport", "kind checks")):
+    """Outcome of checking one claimed form, check by check: `checks` is
+    ((name, bool), ...)."""
 
-    kind: str
-    checks: tuple  # ((name, bool), ...)
+    __slots__ = ()
 
     @property
     def passed(self):

@@ -16,7 +16,7 @@ tuple, or the 2^dim cochains of the complex, would otherwise grow without
 bound.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .cecomplex import build_complex, d_squared_violation
@@ -126,12 +126,10 @@ class LieAlgebra:
             self.name, self.dim, len(self.brackets))
 
 
-@dataclass(frozen=True)
-class UcsProfile:
+class UcsProfile(namedtuple("UcsProfile", "dims algebra_dim")):
     """Dimensions of the strictly increasing upper central series."""
 
-    dims: tuple
-    algebra_dim: int
+    __slots__ = ()
 
     @property
     def nilpotency_index(self):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from nilsym import (LieAlgebra, Multivector, betti_numbers, build_complex,
-                    builtin, change_basis, cocycle_basis, direct_product,
+                    builtin, cecomplex, change_basis, cocycle_basis, direct_product,
                     indices_of, jacobi_violation, parse_catalog,
                     parse_catalog_file)
 from nilsym.cecomplex import (degree_monomials, differential_matrix,
@@ -369,6 +369,21 @@ def test_betti_rejects_non_complexes():
         betti_numbers(build_complex(jacobi_violator()))
     assert str(err.value) == ("the Betti computation requires the Jacobi "
                               "identity; violated at (1, 2, 3) in violator")
+
+
+def test_betti_budget_is_checked_before_any_degree_is_built(monkeypatch):
+    # heisenberg:7 ranks degrees 0..3; degree 3 has C(7, 3) = 35 monomials.
+    # The Jacobi check has built degrees up to 2, and no more are built.
+    expected = [r.betti for r in betti_numbers(build_complex(builtin("heisenberg:7")))]
+    c = build_complex(builtin("heisenberg:7"))
+    monkeypatch.setattr(cecomplex, "BETTI_BUDGET", 34)
+    with pytest.raises(ValueError) as err:
+        betti_numbers(c)
+    assert str(err.value) == ("Betti degree 3 of heisenberg:7 has 35 monomials, "
+                              "over the budget of 34")
+    assert c._images.keys() == {0, 1, 2}
+    monkeypatch.setattr(cecomplex, "BETTI_BUDGET", 35)
+    assert [r.betti for r in betti_numbers(c)] == expected
 
 
 def test_report_invariants_hold():

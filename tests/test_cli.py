@@ -28,6 +28,23 @@ end
 """
 
 
+def _child_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
+def run_limited(*argv):
+    """The CLI in a child with an address-space limit of 1 GB and a
+    timeout, so that a missing guard fails with a MemoryError or a timeout
+    instead of taking the machine's memory."""
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+             "from nilsym.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    return subprocess.run([sys.executable, "-c", child, *argv], env=_child_env(),
+                          capture_output=True, text=True, timeout=120, check=False)
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
@@ -266,6 +283,36 @@ def test_report_collects_parse_errors(tmp_path, capsys):
     assert "broken.cat" in err
 
 
+def test_report_lists_file_errors_before_entry_errors(tmp_path, capsys):
+    # Files are read one at a time, so an entry error in a.cat is found
+    # before the parse error of b.cat; the parse error is still listed first.
+    (tmp_path / "a.cat").write_text(FAMILY_CAT)
+    (tmp_path / "b.cat").write_text("algebra g\ndim 0\nend\n")
+    (tmp_path / "c.cat").write_text(FAMILY_CAT.replace("fam", "fam2")
+                                    + "algebra h3\ndim 3\nbracket [2,3] = e1\nend\n")
+    out_json = tmp_path / "report.json"
+    code, _, _ = run(capsys, "report", str(tmp_path), "--json", str(out_json))
+    assert code == 2
+    payload = json.loads(out_json.read_text())
+    assert [row["name"] for row in payload["algebras"]] == ["h3"]
+    assert [(e["file"], e.get("entry")) for e in payload["errors"]] == [
+        ("b.cat", None), ("a.cat", "fam"), ("c.cat", "fam2")]
+
+
+def test_report_over_the_betti_budget_is_an_error_row(tmp_path):
+    (tmp_path / "mixed.cat").write_text(
+        "algebra big\ndim 30\nend\n\n"
+        "algebra h5\ndim 5\nbracket [2,3] = e1\nbracket [4,5] = e1\nend\n")
+    proc = run_limited("report", str(tmp_path), "--json", "-")
+    assert proc.returncode == 2, proc.stderr
+    payload = json.loads(proc.stdout[proc.stdout.index("\n{\n") + 1:])
+    assert [row["name"] for row in payload["algebras"]] == ["h5"]
+    assert payload["errors"] == [{
+        "entry": "big", "file": "mixed.cat",
+        "error": "Betti degree 4 of big has 27405 monomials, over the budget "
+                 "of %d" % cecomplex.BETTI_BUDGET}]
+
+
 def test_report_lambda_power_over_limit_is_an_error_row(tmp_path, capsys):
     (tmp_path / "big.cat").write_text(
         "algebra g\ndim 3\nparam lambda\nbracket [1,2] = lambda^65*e3\nend\n")
@@ -317,15 +364,7 @@ def test_report_dim_over_the_limit_is_an_error_row(tmp_path):
     (tmp_path / "mixed.cat").write_text(
         "algebra big\ndim 99999999999\nend\n\n"
         "algebra h5\ndim 5\nbracket [2,3] = e1\nbracket [4,5] = e1\nend\n")
-    child = ("import resource, sys\n"
-             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-             "from nilsym.cli import main\n"
-             "sys.exit(main(sys.argv[1:]))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", child, "report", str(tmp_path), "--json", "-"],
-        env=env, capture_output=True, text=True, timeout=120, check=False)
+    proc = run_limited("report", str(tmp_path), "--json", "-")
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     payload = json.loads(proc.stdout[proc.stdout.index("\n{\n") + 1:])
@@ -404,6 +443,45 @@ def test_oversized_builtin_is_an_error_line(capsys):
     assert code == 2
     assert "<= 64" in err
     assert builtin("abelian:64").dim == 64
+
+
+def test_check_over_the_betti_budget_is_an_error_line():
+    # Betti numbers of abelian:64 would enumerate C(64, p) monomials per
+    # degree; the budget stops the command before it builds degree 3.
+    proc = run_limited("check", "--builtin", "abelian:64")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: Betti degree 3 of abelian:64 has 41664 "
+                           "monomials, over the budget of %d\n"
+                           % cecomplex.BETTI_BUDGET)
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    # Compared with the modules loaded before the import, so whatever the
+    # interpreter's start-up loads does not count.
+    child = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "import nilsym.cli\n"
+             "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    proc = subprocess.run([sys.executable, "-c", child], env=_child_env(),
+                          capture_output=True, text=True, timeout=60, check=True)
+    added = proc.stdout.split()
+    assert "nilsym.cli" in added
+    assert "dataclasses" not in added
+    assert "inspect" not in added
+
+
+@pytest.mark.parametrize("payload", [
+    {"algebras": [{"name": "h3", "betti": [1, 2, 2, 1], "jacobi": True}],
+     "errors": []},
+    {"b": {"z": [], "a": "é"}, "a": None}])
+def test_write_json_bytes(tmp_path, capsys, payload):
+    expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    path = tmp_path / "out.json"
+    cli._write_json(str(path), payload)
+    assert path.read_text(encoding="utf-8") == expected
+    cli._write_json("-", payload)
+    assert capsys.readouterr().out == expected
 
 
 def test_json_to_stdout(capsys):
@@ -486,9 +564,7 @@ def test_report_json_is_the_same_under_any_hash_seed():
     # which in-process repeats of report never vary.
     outputs = []
     for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=seed,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        env = dict(_child_env(), PYTHONHASHSEED=seed)
         proc = subprocess.run(
             [sys.executable, "-m", "nilsym.cli", "report", "catalogs", "--json", "-"],
             cwd=ROOT, env=env, capture_output=True, timeout=300, check=False)
