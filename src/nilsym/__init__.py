@@ -14,8 +14,7 @@ from .cecomplex import (CEComplex, CochainBasisReport, betti_numbers,
                         build_complex, cocycle_basis)
 from .detect import (ContactVerdict, FormCheckReport, SymplecticVerdict,
                      contact_decide, contact_polynomial, pfaffian_polynomial,
-                     product_symplectic_witness, symplectic_decide,
-                     verify_claimed_form)
+                     symplectic_decide, verify_claimed_form)
 from .catalog import (CatalogEntry, CatalogError, builtin, parse_catalog,
                       parse_catalog_file, parse_form, render_catalog,
                       render_form)
@@ -32,7 +31,7 @@ __all__ = [
     "build_complex", "cocycle_basis",
     "betti_numbers", "symplectic_decide", "contact_decide",
     "pfaffian_polynomial", "contact_polynomial",
-    "product_symplectic_witness", "verify_claimed_form",
+    "verify_claimed_form",
     "builtin", "parse_catalog", "parse_catalog_file", "parse_form",
     "render_catalog", "render_form",
 ]

@@ -32,9 +32,10 @@ b = (1, 1, 0), which the duality would get wrong.
 
 Cocycle bases still go through the dense `differential_matrix` and `rref`:
 building them with `linalg.relations` raises the benchmark's `peak_rss_mb`
-reading until its set-up collects garbage (see `linalg`; figures in
-CHANGES.md).  The differentials are sparse, and `rref` updates only the
-pivot row's nonzero columns.
+reading until its set-up collects garbage (see `linalg`).  The
+differentials are sparse, and `rref` updates only the pivot row's nonzero
+columns.  The dense matrix is refused, before anything is built, when it
+would hold more than COCYCLE_BUDGET entries.
 """
 
 from collections import namedtuple
@@ -49,6 +50,12 @@ from .linalg import integer_maps, kernel_basis, rank
 # C(17, 8) = 24310 fits, so every dimension up to 17 is ranked in full,
 # while abelian:64 stops before degree 3 (C(64, 3) = 41664).
 BETTI_BUDGET = 25000
+
+# The most entries of one dense `differential_matrix`, so of the degree-2
+# elimination of `cocycle_basis`: C(17, 3) * C(17, 2) = 92480 fits, so Z^2 is
+# built for every dimension up to 17 (heisenberg:15 x a needs 67200), while
+# abelian:64 is refused at once (C(64, 3) * C(64, 2) = 83994624).
+COCYCLE_BUDGET = 100000
 
 
 class CEComplex:
@@ -162,8 +169,15 @@ def differential_matrix(c, degree):
     """Matrix of d: degree -> degree+1 over lex-ordered monomial bases.
 
     Rows are indexed by codomain monomials, columns by domain monomials.
+    Raises ValueError, before building anything, on a matrix of more than
+    COCYCLE_BUDGET entries.
     """
     n = c.dim
+    nrows, ncols = comb(n, degree + 1), comb(n, degree)
+    if nrows * ncols > COCYCLE_BUDGET:
+        raise ValueError("the degree-%d differential of %s is a %d x %d matrix, "
+                         "over the budget of %d entries"
+                         % (degree, c.name, nrows, ncols, COCYCLE_BUDGET))
     domain = degree_monomials(n, degree)
     codomain = degree_monomials(n, degree + 1) if degree < n else []
     row_index = {m: r for r, m in enumerate(codomain)}
@@ -180,14 +194,14 @@ def cocycle_basis(c, degree):
 
     Kernel of the lex-ordered differential matrix, one basis vector per free
     column of its reduced row echelon form; the vector of free column x_I
-    has coefficient 1 at x_I and otherwise only earlier pivot monomials.
+    has coefficient 1 at x_I and otherwise only earlier pivot monomials, so
+    x_I is its last monomial in lex order.  The matrix is dense and held to
+    COCYCLE_BUDGET entries.  A prototype on `linalg.relations` read the
+    benchmark's ladder `peak_rss_mb` 20.36 -> 25.26 MB, past its bound,
+    while the benchmark's set-up leaves garbage uncollected (see `linalg`).
 
-    On g x a, with y the generator of a, every closed 2-form is
-    beta + theta ^ y with beta in Z^2(g) and theta in Z^1(g) (Libermann
-    1959; Cappelletti-Montano, De Nicola and Yudin, "A survey on
-    cosymplectic geometry", 2013), and the basis is exactly the union of
-    `cocycle_basis(g, 2)` and `theta ^ y` for theta in `cocycle_basis(g, 1)`,
-    in the lex order of the vectors' last monomials.
+    `detect` reads the degree-2 basis of g x a off g's degree-2 and
+    degree-1 bases, which is exact (see `detect._closed_two_forms`).
     """
     n = c.dim
     if not 0 <= degree <= n:

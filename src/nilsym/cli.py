@@ -24,7 +24,7 @@ from .catalog import (CatalogError, _parse_rational, builtin,
                       parse_catalog_file, parse_form)
 from .cecomplex import betti_numbers, build_complex
 from .detect import contact_decide, symplectic_decide, verify_claimed_form
-from .liealg import direct_product, jacobi_violation, upper_central_series
+from .liealg import jacobi_violation, times_line, upper_central_series
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -81,13 +81,10 @@ def _fmt_ints(values):
     return ",".join(str(v) for v in values)
 
 
-def _times_a(g):
-    """g x a: g with a one-dimensional abelian factor appended."""
-    return direct_product(g, builtin("abelian:1"))
-
-
-def _symplectic_report(g, space):
-    verdict = symplectic_decide(g)
+def _symplectic_report(g, space, times_a=False):
+    """The symplectic decision on g, or with `times_a` on g x a, decided on
+    g's complex and rendered with y as a's label."""
+    verdict = symplectic_decide(g, times_a)
     out = {
         "space": space,
         "admits": verdict.admits,
@@ -96,7 +93,8 @@ def _symplectic_report(g, space):
         "certificate": verdict.certificate_kind,
     }
     if verdict.witness is not None:
-        out["witness"] = verdict.witness.render(g.dual_labels)
+        labels = g.dual_labels + ("y",) if times_a else g.dual_labels
+        out["witness"] = verdict.witness.render(labels)
     return out
 
 
@@ -123,19 +121,22 @@ def _claimed_form_report(g, times_a, kind, expr):
     return out
 
 
-def _analyze(g, entry, parts):
+def _analyze(g, entry, parts, times_a=False):
     """One row for g and its time in ms, which the row never carries.
 
     `parts` names what to run: "check" (Jacobi, the upper central series and
     the Betti numbers), "symplectic" (on g in even dimension, on g x a in
-    odd) and "contact" (odd dimension only).  The decisions and the entry's
-    claimed forms run only when Jacobi holds or was not checked, and they
-    share one g x a, so each of g and g x a builds one complex.  g x a is
-    built on first use: on a g of dimension MAX_DIM it is over the limit,
-    and only a claimed form that names y then reports that error.
+    odd) and "contact" (odd dimension only).  With `times_a` the row is
+    g x a's, which only "symplectic" may be asked of.  The decisions and the
+    entry's claimed forms run only when Jacobi holds or was not checked.
+    The symplectic decision on g x a reads g's complex, so a "no" builds no
+    g x a; a "yes" builds it to verify the witness, and a claimed form that
+    names y builds it too.  On a g of dimension MAX_DIM, g x a is over the
+    limit, and only a claimed form that names y reports that error.
     """
     start = time.perf_counter()
-    row = {"name": g.name, "dim": g.dim}
+    row = ({"name": g.name + " x abelian:1", "dim": g.dim + 1} if times_a
+           else {"name": g.name, "dim": g.dim})
     if "check" in parts:
         bad = jacobi_violation(g)
         row["jacobi"] = bad is None
@@ -147,15 +148,16 @@ def _analyze(g, entry, parts):
             row["nilpotent"] = ucs.is_nilpotent
             row["betti"] = [r.betti for r in betti_numbers(build_complex(g))]
     if row.get("jacobi", True):
-        times_a = functools.cache(lambda: _times_a(g))
         if "symplectic" in parts:
-            row["symplectic"] = (_symplectic_report(g, "g") if g.dim % 2 == 0
-                                 else _symplectic_report(times_a(), "g x a"))
+            row["symplectic"] = (_symplectic_report(g, "g x a", True)
+                                 if g.dim % 2 and not times_a
+                                 else _symplectic_report(g, "g", times_a))
         if "contact" in parts and g.dim % 2:
             row["contact"] = _contact_report(g)
         if entry is not None and entry.claimed_forms:
+            product = functools.cache(lambda: times_line(g))
             row["claimed_forms"] = [
-                _claimed_form_report(g, times_a, kind, expr)
+                _claimed_form_report(g, product, kind, expr)
                 for kind, expr in entry.claimed_forms]
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return row, elapsed_ms
@@ -224,17 +226,17 @@ def _cmd_check(args):
 
 def _cmd_decide(args, kind):
     g, _ = _single_selection(args)
+    times_a = kind == "symplectic" and args.times_a
+    dim = g.dim + times_a
     if kind == "symplectic":
-        if args.times_a:
-            g = _times_a(g)
-        if g.dim % 2:
-            hint = "drop --times-a" if args.times_a else "try --times-a"
+        if dim % 2:
+            hint = "drop --times-a" if times_a else "try --times-a"
             raise ValueError("dimension %d is odd; symplectic needs an even "
-                             "total dimension (%s)" % (g.dim, hint))
-    elif g.dim % 2 == 0:
+                             "total dimension (%s)" % (dim, hint))
+    elif dim % 2 == 0:
         raise ValueError("dimension %d is even; contact needs odd dimension"
-                         % g.dim)
-    row, ms = _analyze(g, None, (kind,))
+                         % dim)
+    row, ms = _analyze(g, None, (kind,), times_a)
     _print_row(row, ms)
     if args.json:
         _write_json(args.json, row)
@@ -243,7 +245,7 @@ def _cmd_decide(args, kind):
 
 def _cmd_verify_form(args):
     g, _ = _single_selection(args)
-    target = _times_a(g) if args.times_a else g
+    target = times_line(g) if args.times_a else g
     form = parse_form(args.form, g.dim, has_y=args.times_a)
     report = verify_claimed_form(target, form, args.kind)
     print("algebra: %s" % target.name)

@@ -18,6 +18,12 @@ iff it is the zero polynomial, so deciding over the formal polynomial ring
 is sound and complete for real existence, and rational witnesses suffice.
 Both expansions assume d^2 = 0 and check it first with
 `cecomplex.require_jacobi`, on the complex they then read.
+
+Whether M x S^1 is symplectic, for a nilmanifold M with Lie algebra g, is
+whether g x a is, a the one-dimensional algebra.  `symplectic_decide(g,
+times_a=True)` decides it on g's complex (see `_closed_two_forms`), with no
+elimination on g x a's larger degree-2 matrix; only a "yes" builds g x a,
+to verify its witness there.
 """
 
 from collections import namedtuple
@@ -26,7 +32,7 @@ from math import factorial
 
 from .cecomplex import build_complex, cocycle_basis, require_jacobi
 from .exterior import Multivector, indices_of, wedge_sign
-from .liealg import direct_product
+from .liealg import times_line
 from .linalg import integer_maps
 from .mpoly import MPoly, find_nonvanishing_point
 
@@ -65,12 +71,12 @@ class FormCheckReport(namedtuple("FormCheckReport", "kind checks")):
         return "fail: " + ", ".join(self.failed_checks)
 
 
-def _require_parity(g, kind):
+def _require_parity(name, dim, kind):
     """A symplectic form needs even dimension, a contact form odd."""
     odd = kind == "contact"
-    if g.dim % 2 != odd:
+    if dim % 2 != odd:
         raise ValueError("a %s form needs %s dimension; %s has dim %d"
-                         % (kind, "odd" if odd else "even", g.name, g.dim))
+                         % (kind, "odd" if odd else "even", name, dim))
 
 
 # ---- generic forms with polynomial coefficients -------------------------
@@ -135,7 +141,31 @@ def _wedge_matchings(start, omega, steps):
 # ---- symplectic ----------------------------------------------------------
 
 
-def pfaffian_polynomial(g):
+def _closed_two_forms(complex_, times_a):
+    """The degree-2 cocycle basis of g, or with `times_a` that of g x a.
+
+    On g x a, with y the generator of a, every closed 2-form is
+    beta + theta ^ y with beta in Z^2(g) and theta in Z^1(g) (Libermann
+    1959; Cappelletti-Montano, De Nicola and Yudin, "A survey on
+    cosymplectic geometry", 2013), and `cocycle_basis` of g x a in degree 2
+    is exactly the beta and the theta ^ y, merged in the lex order of their
+    last monomials.  So g x a's basis is read off g's complex, and neither
+    the product nor its complex is built.  A one-dimensional g has no
+    degree-2 forms.
+    """
+    if not times_a:
+        return cocycle_basis(complex_, 2)
+    n = complex_.dim
+    ybit = 1 << n
+    basis = [Multivector(n + 1, beta.terms)
+             for beta in (cocycle_basis(complex_, 2) if n > 1 else ())]
+    basis += [Multivector(n + 1, {m | ybit: c for m, c in theta.terms.items()})
+              for theta in cocycle_basis(complex_, 1)]
+    basis.sort(key=lambda form: max(indices_of(m) for m in form.terms))
+    return basis
+
+
+def pfaffian_polynomial(g, times_a=False):
     """Pfaffian of the generic closed 2-form, with the basis that defines it.
 
     Returns (p, basis): basis is the degree-2 cocycle basis beta_1..beta_k,
@@ -144,33 +174,43 @@ def pfaffian_polynomial(g):
     closed 2-form on g has full rank.  It is expanded one perfect matching
     of the 2m indices at a time (the Pfaffian's row expansion), so no m!
     orderings are built and none is divided out.
+
+    With `times_a` the 2-forms are those of g x a, of dimension g.dim + 1,
+    and both are computed on g's complex (see `_closed_two_forms`): they are
+    the same polynomial and basis as on `direct_product(g, abelian:1)`.
     """
     complex_ = build_complex(g)
     require_jacobi(complex_, "the symplectic decision")
-    _require_parity(g, "symplectic")
-    m = g.dim // 2
-    basis = cocycle_basis(complex_, 2)
+    dim = g.dim + times_a
+    _require_parity(g.name + " x abelian:1" if times_a else g.name, dim,
+                    "symplectic")
+    m = dim // 2
+    basis = _closed_two_forms(complex_, times_a)
     rows, L = integer_maps(b.terms for b in basis)
     omega = _generic_combination(rows)
     acc = _wedge_matchings({0: {(): 1}}, omega, m)
-    p = MPoly(len(basis), acc.get((1 << g.dim) - 1)) * Fraction(1, L ** m)
+    p = MPoly(len(basis), acc.get((1 << dim) - 1)) * Fraction(1, L ** m)
     return p, basis
 
 
-def symplectic_decide(g):
-    """Exact decision: does g admit a closed 2-form of full rank."""
-    p, basis = pfaffian_polynomial(g)
-    m = g.dim // 2
+def symplectic_decide(g, times_a=False):
+    """Exact decision: does g, or with `times_a` g x a, admit a closed
+    2-form of full rank.  A witness on g x a is verified on the product,
+    which is built only then."""
+    p, basis = pfaffian_polynomial(g, times_a)
+    dim = g.dim + times_a
+    m = dim // 2
     if p.is_zero:
         return SymplecticVerdict(False, None, len(basis), m,
                                  "identically-zero-pfaffian")
     point = find_nonvanishing_point(p)
-    witness = Multivector(g.dim)
+    witness = Multivector(dim)
     for t, b in zip(point, basis):
         if t:
             witness = witness + t * b
     witness = witness.canonical_integer_form()
-    report = verify_claimed_form(g, witness, "symplectic")
+    report = verify_claimed_form(times_line(g) if times_a else g, witness,
+                                 "symplectic")
     if not report.passed:  # the grid point certifies this cannot happen
         raise AssertionError("witness failed verification: %s" % report.summary())
     return SymplecticVerdict(True, witness, len(basis), m, "witness")
@@ -193,7 +233,7 @@ def contact_polynomial(g):
     """
     complex_ = build_complex(g)
     require_jacobi(complex_, "the contact decision")
-    _require_parity(g, "contact")
+    _require_parity(g.name, g.dim, "contact")
     if g.dim == 1:
         return MPoly(1)
     n = (g.dim - 1) // 2
@@ -218,7 +258,7 @@ def contact_decide(g):
     return ContactVerdict(True, witness)
 
 
-# ---- claimed forms and products ------------------------------------------
+# ---- claimed forms -------------------------------------------------------
 
 
 def verify_claimed_form(g, form, kind):
@@ -234,7 +274,7 @@ def verify_claimed_form(g, form, kind):
                          % (form.dim, g.dim))
     if kind not in ("symplectic", "contact"):
         raise ValueError("kind must be 'symplectic' or 'contact', got %r" % (kind,))
-    _require_parity(g, kind)
+    _require_parity(g.name, g.dim, kind)
     complex_ = build_complex(g)
     if kind == "symplectic":
         if not form.is_homogeneous(2):
@@ -252,49 +292,3 @@ def verify_claimed_form(g, form, kind):
         top = form.wedge(complex_.differential(form).wedge_power(n))
         checks = (("contact-nondegenerate", not top.is_zero()),)
     return FormCheckReport(kind, checks)
-
-
-def _split_product_factor(w, g, label):
-    """Break a witness on g x a into (l, y-coefficient, pure-g terms)."""
-    if w.dim != g.dim + 1:
-        raise ValueError("%s must live on %s x a (dimension %d, got %d)"
-                         % (label, g.name, g.dim + 1, w.dim))
-    if not w.is_homogeneous(2):
-        raise ValueError("%s must be a homogeneous 2-form" % label)
-    ybit = 1 << g.dim
-    cross = [(m, c) for m, c in w.terms.items() if m & ybit]
-    if len(cross) != 1:
-        raise ValueError("%s must contain exactly one x_l^y term, found %d"
-                         % (label, len(cross)))
-    (mask, c1), = cross
-    l = indices_of(mask ^ ybit)[0]
-    dxl = build_complex(g).generator_differentials[l - 1]
-    if not dxl.is_zero():
-        raise ValueError("%s pairs y with x%d, but dx%d != 0 on %s"
-                         % (label, l, l, g.name))
-    rest = {m: c for m, c in w.terms.items() if not m & ybit}
-    return l, c1, rest
-
-
-def product_symplectic_witness(wg, wh, g, h):
-    """Splice two `sum x_i x_j + x_l y`-shaped witnesses into one on g x h.
-
-    wg and wh are symplectic witnesses on g x a and h x a whose single
-    y-term pairs y with a closed generator; the result replaces the two
-    y-legs with one cross term x_l ^ y_r and is verified closed and
-    nondegenerate before being returned.
-    """
-    l, c1, g_terms = _split_product_factor(wg, g, "wg")
-    r, c2, h_terms = _split_product_factor(wh, h, "wh")
-    product = direct_product(g, h)
-    terms = dict(g_terms)
-    for mask, c in h_terms.items():
-        terms[mask << g.dim] = c
-    cross = (1 << (l - 1)) | (1 << (g.dim + r - 1))
-    terms[cross] = c1 * c2
-    form = Multivector(product.dim, terms)
-    report = verify_claimed_form(product, form, "symplectic")
-    if not report.passed:
-        raise ValueError("spliced form is not symplectic on %s (%s); "
-                         "check the input witnesses" % (product.name, report.summary()))
-    return form

@@ -201,7 +201,7 @@ def direct_product(g, h):
     the second factor's duals are labeled y1..y_dim(h).  A product of
     dimension above MAX_DIM raises ValueError, as every algebra does; g x a
     reaches it only from a 64-dimensional g, and then only through
-    `--times-a` or, in `report`, a claimed form that names y.
+    `verify-form --times-a` or, in `report`, a claimed form that names y.
     """
     dim = g.dim + h.dim
     brackets = {key: dict(row) for key, row in g.brackets.items()}
@@ -211,6 +211,12 @@ def direct_product(g, h):
         "y%d" % i for i in range(1, h.dim + 1))
     return LieAlgebra("%s x %s" % (g.name, h.name), dim, brackets,
                       dual_labels=g.dual_labels + h_duals)
+
+
+def times_line(g):
+    """g x a, a the one-dimensional abelian algebra, named and labeled as
+    `direct_product` names and labels it: "g x abelian:1", with y last."""
+    return direct_product(g, LieAlgebra("abelian:1", 1))
 
 
 def change_basis(g, matrix):

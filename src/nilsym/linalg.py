@@ -29,11 +29,13 @@ columns, all at or after the pivot, scales only those, and subtracts the
 row, on those columns and in place, from each row with a nonzero entry in
 the pivot column, so a sparse differential costs its nonzeros and not its
 width.  A prototype that builds Z^2 with `relations` keeps the
-benchmark's outputs byte-identical and cuts its `cpu_s`, but raises
-`peak_rss_mb` past its bound (figures in CHANGES.md).  The benchmark's
-set-up leaves discarded module copies to the cyclic garbage collector, and
-a library that allocates less triggers fewer of the collections that free
-them, so the readings move once the benchmark collects after its set-up.
+benchmark's outputs byte-identical and cuts ladder `cpu_s` from 0.084 to
+0.035 s, but read its `peak_rss_mb` 20.36 -> 25.26 MB, +24% against a
+bound of 10%, with full collections per pass falling from 0.52 to 0.06.
+The benchmark's set-up leaves discarded module copies to the cyclic garbage
+collector, and a library that allocates less triggers fewer of the
+collections that free them, so the readings move once the benchmark
+collects after its set-up.
 Everything is deterministic.
 """
 

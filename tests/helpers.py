@@ -413,3 +413,17 @@ def random_nilpotent(rng, dim):
                 row = brackets.setdefault(indices_of(mask), {})
                 row[k] = row.get(k, 0) + coeff * x
     return LieAlgebra("rand:%d" % dim, dim, brackets)
+
+
+def splice_line_witnesses(w, n):
+    """Two copies of a symplectic witness w on g x a, n = dim g, whose one
+    y-term is c x_l ^ y with dx_l = 0, as one 2-form on g x g: each copy
+    keeps its pure-g terms and the two y-legs become c^2 x_l ^ x'_l."""
+    ybit = 1 << n
+    (mask, c), = [(m, c) for m, c in w.terms.items() if m & ybit]
+    leg = mask ^ ybit
+    terms = {leg | leg << n: c * c}
+    for m, v in w.terms.items():
+        if not m & ybit:
+            terms[m] = terms[m << n] = v
+    return Multivector(2 * n, terms)

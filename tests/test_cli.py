@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from nilsym import builtin, cecomplex, cli
+from nilsym import (builtin, cecomplex, cli, direct_product, liealg,
+                    symplectic_decide)
+from helpers import filiform
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -456,6 +458,28 @@ def test_check_over_the_betti_budget_is_an_error_line():
                            % cecomplex.BETTI_BUDGET)
 
 
+def test_symplectic_over_the_cocycle_budget_is_an_error_line():
+    # Z^2 of abelian:64 is the kernel of a dense 41664 x 2016 matrix, which
+    # ended in a MemoryError under this limit; the budget refuses it before
+    # building anything.
+    proc = run_limited("symplectic", "--builtin", "abelian:64")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: the degree-2 differential of abelian:64 is a "
+                           "41664 x 2016 matrix, over the budget of %d entries\n"
+                           % cecomplex.COCYCLE_BUDGET)
+
+
+def test_cocycle_budget_admits_the_largest_decided_products():
+    # heisenberg:15 x a (the paper's largest Heisenberg case) and
+    # filiform:13 x a, decided on g and on the product built whole.
+    line = builtin("abelian:1")
+    for g, admits in ((builtin("heisenberg:15"), False), (filiform(13), True)):
+        verdict = symplectic_decide(g, times_a=True)
+        assert verdict.admits is admits
+        assert symplectic_decide(direct_product(g, line)) == verdict
+
+
 def test_importing_the_cli_loads_no_dataclasses_or_inspect():
     # Compared with the modules loaded before the import, so whatever the
     # interpreter's start-up loads does not count.
@@ -535,11 +559,18 @@ def test_per_algebra_text_is_pinned(tmp_path, capsys):
 
 
 def test_analyze_builds_one_complex_per_algebra(monkeypatch):
-    # g and, for odd g, g x a: one complex each, and one d^2 evaluation each,
-    # however many of Jacobi, Betti, the decisions and the witness
-    # verification read it.
-    counts = {"complexes": 0, "d_squared": 0}
+    # One complex for g and one d^2 evaluation, however many of Jacobi,
+    # Betti, the decisions and the witness verification read it.  An odd g
+    # decides g x a on its own complex: a "no" (heisenberg:5) builds no
+    # g x a, and a "yes" (abelian:5) builds it and its complex only to
+    # verify the witness, which reads no d^2.
+    counts = {"complexes": 0, "d_squared": 0, "products": 0}
     init, first_violation = cecomplex.CEComplex.__init__, cecomplex._first_violation
+    product = liealg.direct_product
+
+    def counted_product(g, h):
+        counts["products"] += 1
+        return product(g, h)
 
     def counted_init(self, *args):
         counts["complexes"] += 1
@@ -551,12 +582,16 @@ def test_analyze_builds_one_complex_per_algebra(monkeypatch):
 
     monkeypatch.setattr(cecomplex.CEComplex, "__init__", counted_init)
     monkeypatch.setattr(cecomplex, "_first_violation", counted_violation)
-    for name, complexes in (("heisenberg:5", 2), ("abelian:4", 1)):
-        counts.update(complexes=0, d_squared=0)
+    monkeypatch.setattr(liealg, "direct_product", counted_product)
+    for name, admits, products in (("heisenberg:5", False, 0),
+                                   ("abelian:4", True, 0),
+                                   ("abelian:5", True, 1)):
+        counts.update(complexes=0, d_squared=0, products=0)
         row, _ = cli._analyze(builtin(name), None,
                               ("check", "symplectic", "contact"))
-        assert row["jacobi"] and "symplectic" in row
-        assert counts == {"complexes": complexes, "d_squared": complexes}
+        assert row["jacobi"] and row["symplectic"]["admits"] is admits
+        assert counts == {"complexes": 1 + products, "d_squared": 1,
+                          "products": products}, name
 
 
 def test_report_json_is_the_same_under_any_hash_seed():

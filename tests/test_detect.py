@@ -1,15 +1,20 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from nilsym import (LieAlgebra, MPoly, Multivector, builtin, change_basis,
-                    contact_decide, contact_polynomial, direct_product,
-                    parse_form, pfaffian_polynomial, product_symplectic_witness,
-                    symplectic_decide, verify_claimed_form)
+from nilsym import (LieAlgebra, MPoly, Multivector, build_complex, builtin,
+                    change_basis, cocycle_basis, contact_decide,
+                    contact_polynomial, direct_product, parse_catalog_file,
+                    parse_form, pfaffian_polynomial, symplectic_decide,
+                    verify_claimed_form)
+from nilsym.detect import _closed_two_forms
 from helpers import (classic_pfaffian_4x4, det, oracle_contact_poly,
-                     oracle_pfaffian, random_invertible, rnd_fraction,
-                     skew_gram_matrix)
+                     oracle_pfaffian, random_invertible, random_nilpotent,
+                     rnd_fraction, skew_gram_matrix, splice_line_witnesses)
+
+BUNDLED_CATALOG = Path(__file__).resolve().parent.parent / "catalogs" / "bundled.cat"
 
 
 def mono(dim, *idxs):
@@ -294,7 +299,7 @@ def test_verify_claimed_form_parity_and_degree_errors():
 def test_product_witness_two_abelian5_copies():
     a5 = builtin("abelian:5")
     w = parse_form("x1^x2 + x3^x4 + x5^y", 5, has_y=True)
-    spliced = product_symplectic_witness(w, w, a5, a5)
+    spliced = splice_line_witnesses(w, 5)
     expected = (mono(10, 1, 2) + mono(10, 3, 4) + mono(10, 5, 10)
                 + mono(10, 6, 7) + mono(10, 8, 9))
     assert spliced == expected
@@ -306,36 +311,65 @@ def test_product_witness_from_decided_witnesses():
     # witness-level consistency of the product construction on bundled data
     for name in ("abelian:5", "heisenberg:3"):
         g = builtin(name)
-        v = symplectic_decide(times_a(name))
+        v = symplectic_decide(g, times_a=True)
         assert v.admits
-        spliced = product_symplectic_witness(v.witness, v.witness, g, g)
+        spliced = splice_line_witnesses(v.witness, g.dim)
         prod = direct_product(g, g)
         assert verify_claimed_form(prod, spliced, "symplectic").passed
 
 
-def test_product_witness_requires_a_y_term():
-    a5 = builtin("abelian:5")
-    no_y = parse_form("x1^x2 + x3^x4", 5, has_y=True)
-    good = parse_form("x1^x2 + x3^x4 + x5^y", 5, has_y=True)
-    with pytest.raises(ValueError):
-        product_symplectic_witness(no_y, good, a5, a5)
-    two_y = parse_form("x1^y + x2^y + x3^x4", 5, has_y=True)
-    with pytest.raises(ValueError):
-        product_symplectic_witness(two_y, good, a5, a5)
+# ---- g x a decided on g's complex -----------------------------------------
 
 
-def test_product_witness_requires_closed_y_partner():
-    h5 = builtin("heisenberg:5")
-    w = parse_form("x2^x3 + x4^x5 + x1^y", 5, has_y=True)  # dx1 != 0
-    with pytest.raises(ValueError):
-        product_symplectic_witness(w, w, h5, h5)
+def split_cases():
+    """The bundled catalog, two seeded random nilpotent algebras of each
+    dimension 1-9, and basis changes of the odd ones among the first, whose
+    differentials are dense and whose closed 1-forms are no coordinates."""
+    rng = random.Random(68)
+    bundled = [e.algebra() for e in parse_catalog_file(BUNDLED_CATALOG)]
+    randoms = [random_nilpotent(rng, dim) for dim in range(1, 10) for _ in range(2)]
+    hidden = [change_basis(g, random_invertible(rng, g.dim))
+              for g in bundled + randoms[:12] if g.dim % 2]
+    return bundled + randoms + hidden
 
 
-def test_product_witness_dimension_check():
-    a5 = builtin("abelian:5")
-    w = parse_form("x1^x2 + x3^x4 + x5^y", 5, has_y=True)
-    with pytest.raises(ValueError):
-        product_symplectic_witness(w, w, builtin("abelian:4"), a5)
+def test_times_a_decided_on_g_equals_the_product_decision():
+    # Z^2(g x a) = Z^2(g) + Z^1(g) ^ y, merged in lex order, gives the
+    # product's basis vector for vector, so the Pfaffian term by term and
+    # the witness.
+    line = builtin("abelian:1")
+    for g in split_cases():
+        product = direct_product(g, line)
+        assert (_closed_two_forms(build_complex(g), True)
+                == cocycle_basis(build_complex(product), 2)), g.name
+        if g.dim % 2:
+            p, basis = pfaffian_polynomial(g, times_a=True)
+            q, product_basis = pfaffian_polynomial(product)
+            assert basis == product_basis, g.name
+            assert (p.nvars, p.terms) == (q.nvars, q.terms), g.name
+            assert symplectic_decide(g, times_a=True) == symplectic_decide(product)
+
+
+def test_times_a_on_one_dimensional_g():
+    # Z^2 of a line is empty: the basis is x1 ^ y alone.
+    g = builtin("abelian:1")
+    p, basis = pfaffian_polynomial(g, times_a=True)
+    assert basis == [mono(2, 1, 2)] and p == MPoly.variable(1, 0)
+    v = symplectic_decide(g, times_a=True)
+    assert v.admits and v.witness == mono(2, 1, 2)
+
+
+def test_times_a_needs_odd_g_and_jacobi():
+    with pytest.raises(ValueError) as err:
+        symplectic_decide(builtin("abelian:4"), times_a=True)
+    assert str(err.value) == ("a symplectic form needs even dimension; "
+                              "abelian:4 x abelian:1 has dim 5")
+    bad = LieAlgebra("violator", 3, {
+        (1, 2): {3: 1}, (2, 3): {1: 1}, (1, 3): {1: -1}})
+    with pytest.raises(ValueError) as err:
+        pfaffian_polynomial(bad, times_a=True)
+    assert str(err.value) == ("the symplectic decision requires the Jacobi "
+                              "identity; violated at (1, 2, 3) in violator")
 
 
 def test_detection_runs_on_non_nilpotent_input():
