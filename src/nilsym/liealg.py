@@ -20,7 +20,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .cecomplex import build_complex, d_squared_violation
-from .linalg import integer_maps, inverse, relations
+from .linalg import integer_maps, relations
 from .mpoly import MPoly
 
 MAX_DIM = 64
@@ -106,16 +106,6 @@ class LieAlgebra:
             return dict(self.brackets.get((i, j), {}))
         return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
 
-    def bracket(self, v, w):
-        """[v, w] for coefficient vectors v, w of length dim."""
-        out = [Fraction(0)] * self.dim
-        for (i, j), row in self.brackets.items():
-            f = v[i - 1] * w[j - 1] - v[j - 1] * w[i - 1]
-            if f:
-                for k, c in row.items():
-                    out[k - 1] += f * c
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, LieAlgebra):
             return NotImplemented
@@ -130,10 +120,6 @@ class UcsProfile(namedtuple("UcsProfile", "dims algebra_dim")):
     """Dimensions of the strictly increasing upper central series."""
 
     __slots__ = ()
-
-    @property
-    def nilpotency_index(self):
-        return len(self.dims)
 
     @property
     def is_nilpotent(self):
@@ -217,24 +203,4 @@ def times_line(g):
     """g x a, a the one-dimensional abelian algebra, named and labeled as
     `direct_product` names and labels it: "g x abelian:1", with y last."""
     return direct_product(g, LieAlgebra("abelian:1", 1))
-
-
-def change_basis(g, matrix):
-    """Transport structure constants through an invertible rational matrix.
-
-    Row i of `matrix` expresses the new basis vector f_{i+1} in the old
-    basis, so scaling e1 by 2 halves every constant targeting e1.
-    """
-    n = g.dim
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise ValueError("matrix must be %dx%d" % (n, n))
-    inv = inverse(rows)  # raises ValueError when singular
-    brackets = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            u = g.bracket(rows[i], rows[j])
-            brackets[(i + 1, j + 1)] = {
-                k + 1: sum(u[l] * inv[l][k] for l in range(n)) for k in range(n)}
-    return LieAlgebra(g.name, n, brackets, dual_labels=g.dual_labels)
 

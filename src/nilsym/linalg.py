@@ -17,25 +17,18 @@ elimination (LaMacchia and Odlyzko, 1990) would also choose pivots by
 column weight to limit fill-in, which the sparse differentials met here
 have not needed.
 
-`rank` counts the independent vectors and `inverse` reads the relations of
-the unit vectors against the rows of a matrix.  Betti numbers run on
-`rank`, the upper central series on `relations` (it keeps the independent
-vectors) and basis changes on `inverse`.
+`rank` counts the independent vectors.  Betti numbers run on `rank`, and
+the upper central series on `relations`, which keeps the independent
+vectors.
 
 `rref` and `kernel_basis` are dense lists of rows of Fractions, with the
 first nonzero pivot and reduced row echelon form; cocycle bases are their
-only caller.  At each pivot `rref` collects the pivot row's nonzero
+only caller (see `cecomplex.cocycle_basis` for why they are not on
+`relations`).  At each pivot `rref` collects the pivot row's nonzero
 columns, all at or after the pivot, scales only those, and subtracts the
 row, on those columns and in place, from each row with a nonzero entry in
 the pivot column, so a sparse differential costs its nonzeros and not its
-width.  A prototype that builds Z^2 with `relations` keeps the
-benchmark's outputs byte-identical and cuts ladder `cpu_s` from 0.084 to
-0.035 s, but read its `peak_rss_mb` 20.36 -> 25.26 MB, +24% against a
-bound of 10%, with full collections per pass falling from 0.52 to 0.06.
-The benchmark's set-up leaves discarded module copies to the cyclic garbage
-collector, and a library that allocates less triggers fewer of the
-collections that free them, so the readings move once the benchmark
-collects after its set-up.
+width.
 Everything is deterministic.
 """
 
@@ -183,22 +176,3 @@ def kernel_basis(rows, ncols):
         basis.append(v)
     return basis
 
-
-def inverse(rows):
-    """Exact inverse as rows of Fractions; raises ValueError on a singular
-    matrix.
-
-    After the n rows, the unit vector e_k reduces to zero with a relation
-    c e_k + sum_j r_j row_j = 0, so row k of the inverse is -r / c.
-    """
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("inverse needs a square matrix")
-    found = relations([*rows, *({k: 1} for k in range(n))])
-    if any(rel is not None for _, rel in zip(range(n), found)):
-        raise ValueError("matrix is singular")
-    out = []
-    for k, rel in enumerate(found):
-        own = rel[n + k]
-        out.append([Fraction(-rel.get(j, 0), own) for j in range(n)])
-    return out

@@ -55,19 +55,8 @@ class MPoly:
     # ---- constructors ----
 
     @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
-
-    @classmethod
     def constant(cls, nvars, value):
         return cls(nvars, {(): Fraction(value)})
-
-    @classmethod
-    def variable(cls, nvars, i):
-        """The monomial t_{i+1}; i is a 0-based variable index."""
-        if not 0 <= i < nvars:
-            raise ValueError("variable index %d out of range" % i)
-        return cls(nvars, {(i,): Fraction(1)})
 
     # ---- ring structure ----
 

@@ -62,11 +62,6 @@ def random_invertible(rng, n, nops=None):
     return m
 
 
-def mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 def identity(n):
     return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
@@ -159,6 +154,41 @@ def oracle_inverse(rows):
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red]
+
+
+def bracket(g, v, w):
+    """[v, w] for coefficient vectors v, w of length dim, read off
+    `bracket_basis` over the pairs i < j."""
+    n = g.dim
+    out = [Fraction(0)] * n
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        f = v[i - 1] * w[j - 1] - v[j - 1] * w[i - 1]
+        if f:
+            for k, c in g.bracket_basis(i, j).items():
+                out[k - 1] += f * c
+    return out
+
+
+def change_basis(g, matrix):
+    """Transport structure constants through an invertible rational matrix.
+
+    Row i of `matrix` expresses the new basis vector f_{i+1} in the old
+    basis, so scaling e1 by 2 halves every constant targeting e1.  The
+    result keeps g's name and labels.  Raises ValueError on a singular or
+    misshapen matrix.
+    """
+    n = g.dim
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise ValueError("matrix must be %dx%d" % (n, n))
+    inv = oracle_inverse(rows)
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            u = bracket(g, rows[i], rows[j])
+            brackets[(i + 1, j + 1)] = {
+                k + 1: sum(u[l] * inv[l][k] for l in range(n)) for k in range(n)}
+    return LieAlgebra(g.name, n, brackets, dual_labels=g.dual_labels)
 
 
 def oracle_ucs(g):
@@ -288,8 +318,8 @@ def oracle_jacobi_violation(g):
     for i, j, k in itertools.combinations(range(1, n + 1), 3):
         total = [Fraction(0)] * n
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = g.bracket(basis[a - 1], basis[b - 1])
-            outer = g.bracket(inner, basis[c - 1])
+            inner = bracket(g, basis[a - 1], basis[b - 1])
+            outer = bracket(g, inner, basis[c - 1])
             total = [x + y for x, y in zip(total, outer)]
         if any(total):
             return (i, j, k)
@@ -314,8 +344,7 @@ def oracle_pfaffian(basis, dim, m):
     """Top coefficient of (sum t_i beta_i)^m / m! by brute expansion over
     ordered index tuples, sharing nothing with the generic-form machinery."""
     k = len(basis)
-    full = Multivector.monomial(dim, tuple(range(1, dim + 1)))
-    full_mask = next(iter(full.terms))
+    full_mask = (1 << dim) - 1
     terms = {}
     for combo in itertools.product(range(k), repeat=m):
         prod = Multivector.unit(dim)
@@ -341,7 +370,7 @@ def oracle_contact_poly(g):
     terms = {}
     for i0 in range(n2):
         for combo in itertools.product(range(n2), repeat=n):
-            prod = Multivector.generator(n2, i0 + 1)
+            prod = Multivector(n2, {1 << i0: 1})
             for i in combo:
                 prod = prod.wedge(diffs[i])
             c = prod.terms.get(full_mask)

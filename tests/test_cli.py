@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from nilsym import (builtin, cecomplex, cli, direct_product, liealg,
+from nilsym import (builtin, cecomplex, cli, detect, direct_product, liealg,
                     symplectic_decide)
 from helpers import filiform
 
@@ -478,6 +478,40 @@ def test_cocycle_budget_admits_the_largest_decided_products():
         verdict = symplectic_decide(g, times_a=True)
         assert verdict.admits is admits
         assert symplectic_decide(direct_product(g, line)) == verdict
+
+
+def test_symplectic_over_the_pfaffian_budget_is_an_error_line():
+    # abelian:17 x a has all 153 two-forms closed, and its Pfaffian's sixth
+    # step would hold 17*15*13*11*9*7 = 2297295 terms; its ninth, 17!!,
+    # ended in a MemoryError traceback with exit 1 under this limit.
+    proc = run_limited("symplectic", "--builtin", "abelian:17", "--times-a")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: the Pfaffian of abelian:17 x abelian:1 is over "
+                           "the budget of %d terms at step 6 of 9\n"
+                           % detect.PFAFFIAN_BUDGET)
+
+
+def test_report_over_the_pfaffian_budget_is_an_error_row(tmp_path):
+    # The over-budget entry is one errors row, and the JSON is byte for byte
+    # that of heisenberg:5 alone with that row added.
+    (tmp_path / "alone").mkdir()
+    (tmp_path / "mixed").mkdir()
+    for directory in ("alone", "mixed"):
+        (tmp_path / directory / "h5.cat").write_text(
+            "algebra h5\ndim 5\nbracket [2,3] = e1\nbracket [4,5] = e1\nend\n")
+    (tmp_path / "mixed" / "big.cat").write_text("algebra big\ndim 17\nend\n")
+    alone = run_limited("report", str(tmp_path / "alone"), "--json", "-")
+    mixed = run_limited("report", str(tmp_path / "mixed"), "--json", "-")
+    assert (alone.returncode, mixed.returncode) == (0, 2), mixed.stderr
+    assert "Traceback" not in mixed.stderr
+    alone_doc, mixed_doc = (proc.stdout[proc.stdout.index("\n{\n") + 1:]
+                            for proc in (alone, mixed))
+    error = {"entry": "big", "file": "big.cat",
+             "error": "the Pfaffian of big x abelian:1 is over the budget of %d "
+                      "terms at step 6 of 9" % detect.PFAFFIAN_BUDGET}
+    expected = dict(json.loads(alone_doc), errors=[error])
+    assert mixed_doc == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
 def test_importing_the_cli_loads_no_dataclasses_or_inspect():

@@ -5,12 +5,12 @@ from pathlib import Path
 import pytest
 
 from nilsym import (LieAlgebra, MPoly, Multivector, build_complex, builtin,
-                    change_basis, cocycle_basis, contact_decide,
-                    contact_polynomial, direct_product, parse_catalog_file,
+                    cocycle_basis, contact_decide, detect,
+                    contact_polynomial, direct_product, mask_of, parse_catalog_file,
                     parse_form, pfaffian_polynomial, symplectic_decide,
                     verify_claimed_form)
 from nilsym.detect import _closed_two_forms
-from helpers import (classic_pfaffian_4x4, det, oracle_contact_poly,
+from helpers import (change_basis, classic_pfaffian_4x4, det, oracle_contact_poly,
                      oracle_pfaffian, random_invertible, random_nilpotent,
                      rnd_fraction, skew_gram_matrix, splice_line_witnesses)
 
@@ -18,7 +18,7 @@ BUNDLED_CATALOG = Path(__file__).resolve().parent.parent / "catalogs" / "bundled
 
 
 def mono(dim, *idxs):
-    return Multivector.monomial(dim, idxs)
+    return Multivector(dim, {mask_of(idxs): 1})
 
 
 def times_a(name):
@@ -30,7 +30,7 @@ def times_a(name):
 
 def test_pfaffian_abelian4_classic():
     p, basis = pfaffian_polynomial(builtin("abelian:4"))
-    t = [MPoly.variable(6, i) for i in range(6)]
+    t = [MPoly(6, {(i,): 1}) for i in range(6)]
     assert p == t[0] * t[5] - t[1] * t[4] + t[2] * t[3]
     assert basis == [mono(4, 1, 2), mono(4, 1, 3), mono(4, 1, 4),
                      mono(4, 2, 3), mono(4, 2, 4), mono(4, 3, 4)]
@@ -43,7 +43,7 @@ def test_pfaffian_abelian4_classic():
 
 def test_pfaffian_abelian2_is_t1():
     p, basis = pfaffian_polynomial(builtin("abelian:2"))
-    assert p == MPoly.variable(1, 0)
+    assert p == MPoly(1, {(0,): 1})
     assert basis == [mono(2, 1, 2)]
 
 
@@ -354,7 +354,7 @@ def test_times_a_on_one_dimensional_g():
     # Z^2 of a line is empty: the basis is x1 ^ y alone.
     g = builtin("abelian:1")
     p, basis = pfaffian_polynomial(g, times_a=True)
-    assert basis == [mono(2, 1, 2)] and p == MPoly.variable(1, 0)
+    assert basis == [mono(2, 1, 2)] and p == MPoly(1, {(0,): 1})
     v = symplectic_decide(g, times_a=True)
     assert v.admits and v.witness == mono(2, 1, 2)
 
@@ -370,6 +370,25 @@ def test_times_a_needs_odd_g_and_jacobi():
         pfaffian_polynomial(bad, times_a=True)
     assert str(err.value) == ("the symplectic decision requires the Jacobi "
                               "identity; violated at (1, 2, 3) in violator")
+
+
+def test_pfaffian_budget_bounds_every_step(monkeypatch):
+    # abelian:8's Pfaffian holds 7, 7*5, 7*5*3 and 7!! = 105 terms after
+    # steps 1 to 4, so 105 is the least budget that decides it.
+    g = builtin("abelian:8")
+    verdict = symplectic_decide(g)
+    monkeypatch.setattr(detect, "PFAFFIAN_BUDGET", 105)
+    assert symplectic_decide(builtin("abelian:8")) == verdict
+    monkeypatch.setattr(detect, "PFAFFIAN_BUDGET", 104)
+    with pytest.raises(ValueError) as err:
+        symplectic_decide(builtin("abelian:8"))
+    assert str(err.value) == ("the Pfaffian of abelian:8 is over the budget of "
+                              "104 terms at step 3 of 4")
+    monkeypatch.setattr(detect, "PFAFFIAN_BUDGET", 0)
+    with pytest.raises(ValueError) as err:
+        contact_decide(builtin("heisenberg:5"))
+    assert str(err.value) == ("the contact polynomial of heisenberg:5 is over "
+                              "the budget of 0 terms at step 1 of 2")
 
 
 def test_detection_runs_on_non_nilpotent_input():

@@ -2,13 +2,11 @@ import math
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilsym.linalg import inverse, kernel_basis, rank, relations, rref
-from helpers import (brute_det, det, identity, in_row_span, mat_mul, oracle_inverse,
-                     oracle_kernel_basis, oracle_rank, oracle_rref,
-                     random_invertible, rnd_fraction)
+from nilsym.linalg import kernel_basis, rank, relations, rref
+from helpers import (brute_det, det, in_row_span, oracle_kernel_basis, oracle_rank,
+                     oracle_rref, rnd_fraction)
 
 
 def F(x):
@@ -94,36 +92,6 @@ def test_sparse_rank_dense_and_mapped_rows_match_oracle(case):
 
 
 @st.composite
-def square_matrices(draw):
-    """Small square rational matrices, singular ones included, and
-    invertible ones built from elementary row operations."""
-    n = draw(st.integers(1, 5))
-    if draw(st.booleans()):
-        return random_invertible(random.Random(draw(st.integers(0, 10 ** 6))), n)
-    return draw(st.lists(st.lists(ENTRIES, min_size=n, max_size=n),
-                         min_size=n, max_size=n))
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(square_matrices())
-def test_inverse_matches_dense_oracle(m):
-    try:
-        expected = oracle_inverse(m)
-    except ValueError:
-        with pytest.raises(ValueError, match="singular"):
-            inverse(m)
-        return
-    got = inverse(m)
-    assert got == expected
-    assert all(type(x) is Fraction for row in got for x in row)
-
-
-def test_inverse_rejects_non_square():
-    with pytest.raises(ValueError, match="square"):
-        inverse([[F(1), F(2)]])
-
-
-@st.composite
 def dense_matrices(draw):
     """Wide, tall and square matrices of ints or Fractions, sparse like the
     differentials, with some rows and columns all zero."""
@@ -177,19 +145,6 @@ def test_det_against_permutation_expansion():
 def test_det_singular():
     m = [[F(1), F(2)], [F(2), F(4)]]
     assert det(m) == 0
-
-
-def test_inverse_round_trip():
-    rng = random.Random(34)
-    for _ in range(20):
-        n = rng.randint(1, 5)
-        m = random_invertible(rng, n)
-        assert mat_mul(m, inverse(m)) == identity(n)
-
-
-def test_inverse_singular_raises():
-    with pytest.raises(ValueError):
-        inverse([[F(1), F(2)], [F(2), F(4)]])
 
 
 def test_in_row_span():

@@ -8,7 +8,7 @@ from helpers import brute_grid_first_nonzero, random_mpoly, rnd_fraction
 
 
 def var(nvars, i):
-    return MPoly.variable(nvars, i)
+    return MPoly(nvars, {(i,): 1})
 
 
 def pf_like():
@@ -24,7 +24,7 @@ def test_product_difference_of_squares():
 
 def test_multiply_by_zero():
     p = random_mpoly(random.Random(0), 3)
-    assert (MPoly.zero(3) * p).is_zero
+    assert (MPoly(3) * p).is_zero
 
 
 def test_addition_cancels_term():
@@ -33,7 +33,7 @@ def test_addition_cancels_term():
 
 
 def test_is_zero():
-    assert MPoly.zero(4).is_zero
+    assert MPoly(4).is_zero
     assert not pf_like().is_zero
     t1, t2 = var(2, 0), var(2, 1)
     squared = (t1 + t2) * (t1 + t2)
@@ -73,7 +73,7 @@ def test_find_nonvanishing_point_product():
 
 def test_find_nonvanishing_point_rejects_zero():
     with pytest.raises(ValueError):
-        find_nonvanishing_point(MPoly.zero(3))
+        find_nonvanishing_point(MPoly(3))
 
 
 def test_ring_laws_on_random_triples():
@@ -115,14 +115,14 @@ def test_witness_always_nonvanishing():
 
 def test_nvars_mismatch():
     with pytest.raises(ValueError):
-        MPoly.zero(2) + MPoly.zero(3)
+        MPoly(2) + MPoly(3)
     with pytest.raises(ValueError):
-        MPoly.zero(2) * MPoly.zero(3)
+        MPoly(2) * MPoly(3)
 
 
 def test_str_rendering():
     assert str(pf_like()) == "t1*t6 - t2*t5 + t3*t4"
-    assert str(MPoly.zero(2)) == "0"
+    assert str(MPoly(2)) == "0"
 
 
 def test_monomials_are_sorted_index_tuples():

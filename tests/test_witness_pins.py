@@ -10,9 +10,8 @@ import random
 
 import pytest
 
-from nilsym import (builtin, change_basis, contact_decide, direct_product,
-                    symplectic_decide)
-from helpers import filiform, random_invertible
+from nilsym import builtin, contact_decide, direct_product, symplectic_decide
+from helpers import change_basis, filiform, random_invertible
 
 
 def times_a(g):
