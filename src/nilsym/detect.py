@@ -35,7 +35,7 @@ from math import factorial
 from .cecomplex import build_complex, cocycle_basis, require_jacobi
 from .exterior import Multivector, indices_of, wedge_sign
 from .liealg import times_line
-from .linalg import integer_maps
+from .linalg import integer_maps, rank
 from .mpoly import MPoly, find_nonvanishing_point
 
 # The most polynomial terms one step of `_wedge_matchings` may hold:
@@ -93,7 +93,7 @@ def _require_parity(name, dim, kind):
 # term map}: each coefficient maps sorted variable-index tuples to ints.  The
 # beta_i come in as L * beta_i with integer coefficients, so every
 # coefficient operation is plain integer arithmetic; the top coefficient
-# becomes an MPoly and the power of L is divided back out once at the end.
+# becomes an MPoly as the power of L is divided back out, once at the end.
 
 
 def _generic_combination(rows):
@@ -155,6 +155,13 @@ def _wedge_matchings(start, omega, steps, what):
     return acc
 
 
+def _top_coefficient(nvars, terms, num, den):
+    """The MPoly num/den * terms, for a term map from `_wedge_matchings`,
+    whose keys are sorted and whose int coefficients are nonzero, so it is
+    wrapped as it is built, in one pass."""
+    return MPoly._of(nvars, {key: Fraction(num * c, den) for key, c in terms.items()})
+
+
 # ---- symplectic ----------------------------------------------------------
 
 
@@ -206,7 +213,7 @@ def pfaffian_polynomial(g, times_a=False):
     rows, L = integer_maps(b.terms for b in basis)
     omega = _generic_combination(rows)
     acc = _wedge_matchings({0: {(): 1}}, omega, m, "the Pfaffian of " + name)
-    p = MPoly(len(basis), acc.get((1 << dim) - 1)) * Fraction(1, L ** m)
+    p = _top_coefficient(len(basis), acc.get((1 << dim) - 1, {}), 1, L ** m)
     return p, basis
 
 
@@ -254,7 +261,7 @@ def contact_polynomial(g):
     d_alpha = _generic_combination(complex_.images(1).values())
     alpha = {1 << i: {(i,): 1} for i in range(g.dim)}
     acc = _wedge_matchings(alpha, d_alpha, n, "the contact polynomial of " + g.name)
-    return MPoly(g.dim, acc.get((1 << g.dim) - 1)) * Fraction(factorial(n), L ** n)
+    return _top_coefficient(g.dim, acc.get((1 << g.dim) - 1, {}), factorial(n), L ** n)
 
 
 def contact_decide(g):
@@ -281,6 +288,23 @@ def _verified(g, form, kind):
 # ---- claimed forms -------------------------------------------------------
 
 
+def _skew_rank(omega, border=None):
+    """Rank of the skew matrix (omega(e_i, e_j)) of a 2-form, or with a
+    1-form `border` alpha, of the bordered matrix [[0, alpha], [-alpha^T,
+    omega]], its extra row and column indexed 0."""
+    rows = {}
+    for mask, c in omega.terms.items():
+        i, j = indices_of(mask)
+        rows.setdefault(i, {})[j] = c
+        rows.setdefault(j, {})[i] = -c
+    if border is not None:
+        for mask, c in border.terms.items():
+            (i,) = indices_of(mask)
+            rows.setdefault(0, {})[i] = c
+            rows.setdefault(i, {})[0] = -c
+    return rank(rows.values())
+
+
 def verify_claimed_form(g, form, kind):
     """Check a user-claimed form against its definition, check by check.
 
@@ -288,6 +312,14 @@ def verify_claimed_form(g, form, kind):
     contact:    form ^ (d form)^((dim-1)/2) != 0, in dimension 3 or more;
                 in dimension 1 there is no d-form factor, and the contact
                 decision answers "no" there, so a claimed form is an error.
+
+    Nondegeneracy is read off ranks, not wedge powers.  A 2-form omega in
+    dimension 2m has omega^m != 0 iff its skew matrix has rank 2m.  For a
+    1-form alpha in dimension 2n+1, add a generator e_0: the 2-form
+    e_0 ^ alpha + d alpha has (n+1)-th power (n+1) e_0 ^ alpha ^ (d alpha)^n,
+    since (e_0 ^ alpha)^2 = 0 and (d alpha)^(n+1) has degree past the
+    dimension.  So alpha is contact iff the bordered matrix
+    [[0, alpha], [-alpha^T, d alpha]] has rank 2n+2.
     """
     if form.dim != g.dim:
         raise ValueError("form lives in dimension %d, algebra has %d"
@@ -300,7 +332,7 @@ def verify_claimed_form(g, form, kind):
         if not form.is_homogeneous(2):
             raise ValueError("symplectic candidate must be homogeneous of degree 2")
         closed = complex_.differential(form).is_zero()
-        nondeg = not form.wedge_power(g.dim // 2).is_zero()
+        nondeg = _skew_rank(form) == g.dim
         checks = (("closed", closed), ("nondegenerate", nondeg))
     else:
         if g.dim == 1:
@@ -308,7 +340,6 @@ def verify_claimed_form(g, form, kind):
                              "dimension 3 or more" % g.name)
         if not form.is_homogeneous(1):
             raise ValueError("contact candidate must be homogeneous of degree 1")
-        n = (g.dim - 1) // 2
-        top = form.wedge(complex_.differential(form).wedge_power(n))
-        checks = (("contact-nondegenerate", not top.is_zero()),)
+        nondeg = _skew_rank(complex_.differential(form), form) == g.dim + 1
+        checks = (("contact-nondegenerate", nondeg),)
     return FormCheckReport(kind, checks)

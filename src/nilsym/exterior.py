@@ -137,15 +137,6 @@ class Multivector:
 
     __xor__ = wedge
 
-    def wedge_power(self, k):
-        """k-fold wedge of self with itself; the 0th power is 1."""
-        if k < 0:
-            raise ValueError("wedge power must be >= 0")
-        out = Multivector.unit(self.dim)
-        for _ in range(k):
-            out = out.wedge(self)
-        return out
-
     def __add__(self, other):
         self._check_dim(other)
         acc = dict(self.terms)

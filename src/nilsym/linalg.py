@@ -21,10 +21,12 @@ have not needed.
 the upper central series on `relations`, which keeps the independent
 vectors.
 
-`rref` and `kernel_basis` are dense lists of rows of Fractions, with the
-first nonzero pivot and reduced row echelon form; cocycle bases are their
-only caller (see `cecomplex.cocycle_basis` for why they are not on
-`relations`).  At each pivot `rref` collects the pivot row's nonzero
+`rref` and `kernel_basis` work on dense lists of rows, with the first
+nonzero pivot and reduced row echelon form; cocycle bases are their only
+caller (see `cecomplex.cocycle_basis` for why they are not on
+`relations`), and pass the integer matrix of scale * d.  `rref` converts
+each entry to a Fraction, which costs least on ints, and its reduced rows
+are Fractions.  At each pivot `rref` collects the pivot row's nonzero
 columns, all at or after the pivot, scales only those, and subtracts the
 row, on those columns and in place, from each row with a nonzero entry in
 the pivot column, so a sparse differential costs its nonzeros and not its

@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import chain, groupby
 
 from .exterior import signed_sum
+from .linalg import integer_maps
 
 
 def _merge(pairs):
@@ -21,6 +22,22 @@ def _merge(pairs):
         prev = acc.get(key)
         acc[key] = c if prev is None else prev + c
     return {key: c for key, c in acc.items() if c}
+
+
+def _substituted(terms, i, value):
+    """The term map with variable i fixed to `value`.  Each key is sorted,
+    so the factors t_{i+1} are one contiguous run, found by two bisections
+    and cut out.  Int coefficients and an int value give ints."""
+    def restricted():
+        for key, c in terms.items():
+            lo = bisect_left(key, i)
+            hi = bisect_right(key, i, lo)
+            if lo == hi:
+                yield key, c
+            elif value:
+                yield key[:lo] + key[hi:], c * value ** (hi - lo)
+
+    return _merge(restricted())
 
 
 def _power(i, e):
@@ -132,24 +149,11 @@ class MPoly:
         return total
 
     def substitute(self, i, value):
-        """Fix variable i (0-based) to `value`; the result keeps nvars.
-
-        Each key is sorted, so the factors t_{i+1} are one contiguous run,
-        found by two bisections and cut out."""
+        """Fix variable i (0-based) to `value`; the result keeps nvars."""
         if not 0 <= i < self.nvars:
             raise ValueError("variable index %d out of range" % i)
         value = value if isinstance(value, Fraction) else Fraction(value)
-
-        def restricted():
-            for key, c in self.terms.items():
-                lo = bisect_left(key, i)
-                hi = bisect_right(key, i, lo)
-                if lo == hi:
-                    yield key, c
-                elif value:
-                    yield key[:lo] + key[hi:], c * value ** (hi - lo)
-
-        return MPoly._of(self.nvars, _merge(restricted()))
+        return MPoly._of(self.nvars, _substituted(self.terms, i, value))
 
     def __str__(self):
         return signed_sum(
@@ -169,16 +173,19 @@ def find_nonvanishing_point(p):
     of 0..d in its leading variable, so each step keeps a nonzero
     restriction and the search never backtracks.  Rejects the zero
     polynomial, where no such point exists.
+
+    p is scaled once by the lcm of its denominators, which moves none of its
+    zeros, so every substitution is on ints.
     """
     if p.is_zero:
         raise ValueError("polynomial is identically zero")
     d = p.total_degree()
     point = []
-    q = p
+    (q,), _ = integer_maps((p.terms,))
     for i in range(p.nvars):
         for v in range(d + 1):
-            r = q.substitute(i, v)
-            if not r.is_zero:
+            r = _substituted(q, i, v)
+            if r:
                 point.append(Fraction(v))
                 q = r
                 break

@@ -335,6 +335,17 @@ def brute_grid_first_nonzero(p):
     return None
 
 
+def wedge_power(form, k):
+    """k-fold wedge of form with itself, every ordering expanded; the 0th
+    power is 1.  The oracle for the rank checks of `verify_claimed_form`."""
+    if k < 0:
+        raise ValueError("wedge power must be >= 0")
+    out = Multivector.unit(form.dim)
+    for _ in range(k):
+        out = out.wedge(form)
+    return out
+
+
 def classic_pfaffian_4x4(a, b, c, d, e, f):
     """Pfaffian of [[0,a,b,c],[-a,0,d,e],[-b,-d,0,f],[-c,-e,-f,0]]."""
     return a * f - b * e + c * d

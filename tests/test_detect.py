@@ -8,11 +8,12 @@ from nilsym import (LieAlgebra, MPoly, Multivector, build_complex, builtin,
                     cocycle_basis, contact_decide, detect,
                     contact_polynomial, direct_product, mask_of, parse_catalog_file,
                     parse_form, pfaffian_polynomial, symplectic_decide,
-                    verify_claimed_form)
+                    upper_central_series, verify_claimed_form)
 from nilsym.detect import _closed_two_forms
 from helpers import (change_basis, classic_pfaffian_4x4, det, oracle_contact_poly,
-                     oracle_pfaffian, random_invertible, random_nilpotent,
-                     rnd_fraction, skew_gram_matrix, splice_line_witnesses)
+                     oracle_differential, oracle_pfaffian, random_invertible,
+                     random_multivector, random_nilpotent, rnd_fraction,
+                     skew_gram_matrix, splice_line_witnesses, wedge_power)
 
 BUNDLED_CATALOG = Path(__file__).resolve().parent.parent / "catalogs" / "bundled.cat"
 
@@ -257,6 +258,22 @@ def test_verdicts_invariant_under_basis_change():
             assert contact_decide(gc).admits == con
 
 
+def test_center_of_dimension_two_rules_out_contact():
+    # For central z, d alpha(z, v) = -alpha([z, v]) = 0, so the center lies
+    # in the kernel of every d alpha; a contact form needs that kernel to be
+    # a line, so a center of dimension 2 or more means no contact form.
+    rng = random.Random(69)
+    wide = 0
+    for dim in (5, 7, 9):
+        for _ in range(4):
+            g = random_nilpotent(rng, dim)
+            for h in (g, change_basis(g, random_invertible(rng, dim))):
+                if upper_central_series(h).dims[0] >= 2:
+                    wide += 1
+                    assert contact_decide(h).admits is False, h.name
+    assert wide >= 6
+
+
 # ---- claimed forms -----------------------------------------------------------
 
 
@@ -280,6 +297,16 @@ def test_verify_claimed_form_contact_on_heisenberg7():
     assert report.passed
 
 
+def test_contact_check_reads_the_bordered_rank():
+    # On a unimodular algebra rank d alpha = dim - 1 already makes alpha
+    # contact, since g / ker d alpha has no exact symplectic form.  Here,
+    # [e1, e2] = e2 plus a line, d x2 = -x1^x2 has that rank but
+    # x2 ^ d x2 = 0, so only the row and column of alpha tell them apart.
+    g = LieAlgebra("r2+a", 3, {(1, 2): {2: 1}})
+    assert not verify_claimed_form(g, mono(3, 2), "contact").passed
+    assert verify_claimed_form(g, mono(3, 2) + mono(3, 3), "contact").passed
+
+
 def test_verify_claimed_form_parity_and_degree_errors():
     with pytest.raises(ValueError):
         verify_claimed_form(builtin("abelian:5"), mono(5, 1, 2), "symplectic")
@@ -291,6 +318,41 @@ def test_verify_claimed_form_parity_and_degree_errors():
         verify_claimed_form(builtin("abelian:4"), mono(4, 1), "symplectic")
     with pytest.raises(ValueError):
         verify_claimed_form(builtin("abelian:4"), mono(4, 1, 2), "nonsense")
+
+
+def test_rank_checks_agree_with_wedge_powers():
+    # verify_claimed_form reads nondegeneracy off the rank of the skew
+    # matrix (symplectic) or of the matrix bordered by the 1-form
+    # (contact); the oracle expands form^m and alpha ^ (d alpha)^n, with
+    # d alpha from the graded-derivation oracle.
+    rng = random.Random(68)
+    seen = set()
+    for dim in range(3, 10):
+        algebras = [random_nilpotent(rng, dim) for _ in range(3)]
+        if dim % 2:  # no form tried on seed 68's dim-9 draws is contact
+            algebras.append(builtin("heisenberg:%d" % dim))
+        for g in algebras:
+            c = build_complex(g)
+            if dim % 2:
+                kind, check, n = "contact", "contact-nondegenerate", (dim - 1) // 2
+                forms = [Multivector(dim, {1 << i: rng.choice((0, 0, 1, -1, 2))
+                                           for i in range(dim)}) for _ in range(6)]
+            else:
+                kind, check, n = "symplectic", "nondegenerate", dim // 2
+                closed = cocycle_basis(c, 2)
+                forms = [sum((rng.choice((0, 0, 1, -1, 3)) * b for b in closed),
+                             Multivector(dim)) for _ in range(4)]
+                forms += [random_multivector(rng, dim, rng.randint(1, 2 * dim), (2,))
+                          for _ in range(4)]
+            for form in forms:
+                if kind == "contact":
+                    top = form.wedge(wedge_power(oracle_differential(c, form), n))
+                else:
+                    top = wedge_power(form, n)
+                checks = dict(verify_claimed_form(g, form, kind).checks)
+                assert checks[check] == (not top.is_zero())
+                seen.add((kind, top.is_zero()))
+    assert len(seen) == 4
 
 
 # ---- product witnesses --------------------------------------------------------

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from nilsym import Multivector, indices_of, mask_of, wedge_sign
+from nilsym import (Multivector, builtin, indices_of, mask_of,
+                    verify_claimed_form, wedge_sign)
 from nilsym.exterior import signed_sum
-from helpers import random_multivector, rnd_fraction
+from helpers import random_multivector, rnd_fraction, wedge_power
 
 
 def mono(dim, *idxs):
@@ -29,23 +30,32 @@ def test_wedge_dimension_mismatch():
         mono(4, 1).wedge(mono(5, 1))
 
 
+# `wedge_power` is the test oracle for the rank checks of
+# `verify_claimed_form`; each case also checks that the two agree.
+
+
 def test_wedge_power_cross_terms():
     w = mono(4, 1, 2) + mono(4, 3, 4)
-    assert w.wedge_power(2) == 2 * mono(4, 1, 2, 3, 4)
+    assert wedge_power(w, 2) == 2 * mono(4, 1, 2, 3, 4)
+    assert verify_claimed_form(builtin("abelian:4"), w, "symplectic").passed
 
 
 def test_wedge_power_heisenberg_expansion():
+    # -(x2^x3 + x4^x5) is d x1 on heisenberg:5, so x1 is a contact form
     w = mono(5, 2, 3) + mono(5, 4, 5)
-    assert w.wedge_power(2) == 2 * mono(5, 2, 3, 4, 5)
+    assert wedge_power(w, 2) == 2 * mono(5, 2, 3, 4, 5)
+    assert verify_claimed_form(builtin("heisenberg:5"), mono(5, 1), "contact").passed
 
 
 def test_wedge_power_degree_two_square_vanishes():
-    assert mono(4, 1, 2).wedge_power(2).is_zero()
+    assert wedge_power(mono(4, 1, 2), 2).is_zero()
+    report = verify_claimed_form(builtin("abelian:4"), mono(4, 1, 2), "symplectic")
+    assert report.failed_checks == ("nondegenerate",)
 
 
 def test_wedge_power_zeroth_is_unit():
     w = mono(3, 1, 2)
-    assert w.wedge_power(0) == Multivector.unit(3)
+    assert wedge_power(w, 0) == Multivector.unit(3)
 
 
 def test_add_cancels_to_empty_map():

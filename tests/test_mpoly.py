@@ -113,6 +113,23 @@ def test_witness_always_nonvanishing():
         assert tuple(w) == brute_grid_first_nonzero(p)
 
 
+def test_witness_is_invariant_under_rational_scaling():
+    # The search scales p to integers once; any nonzero rational multiple,
+    # large denominators included, has the same zeros, so the same point.
+    rng = random.Random(25)
+    found = 0
+    while found < 25:
+        p = random_mpoly(rng, rng.randint(1, 4), nterms=rng.randint(1, 5))
+        if p.is_zero:
+            continue
+        found += 1
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** 12),
+                     rng.randint(10 ** 15, 10 ** 18))
+        w = find_nonvanishing_point(c * p)
+        assert tuple(w) == tuple(find_nonvanishing_point(p)) == brute_grid_first_nonzero(p)
+        assert all(type(v) is Fraction for v in w)
+
+
 def test_nvars_mismatch():
     with pytest.raises(ValueError):
         MPoly(2) + MPoly(3)
