@@ -1,9 +1,10 @@
 """nilsym: exact symplectic/contact structure detection for nilpotent Lie
 algebras presented by rational structure constants.
 
-All arithmetic is exact (Fractions end to end); negative verdicts are
-proofs that a generic polynomial vanishes identically, positive verdicts
-ship a rational witness form.
+All arithmetic is exact, on Fractions or on ints scaled from them (the
+complex's images, the Pfaffian expansion and the witness search run on
+ints); negative verdicts are proofs that a generic polynomial vanishes
+identically, positive verdicts ship a rational witness form.
 """
 
 from .exterior import Multivector, indices_of, mask_of, wedge_sign
@@ -15,8 +16,7 @@ from .detect import (ContactVerdict, FormCheckReport, SymplecticVerdict,
                      contact_decide, contact_polynomial, pfaffian_polynomial,
                      symplectic_decide, verify_claimed_form)
 from .catalog import (CatalogEntry, CatalogError, builtin, parse_catalog,
-                      parse_catalog_file, parse_form, render_catalog,
-                      render_form)
+                      parse_catalog_file, parse_form)
 
 __version__ = "0.1.0"
 
@@ -32,5 +32,4 @@ __all__ = [
     "pfaffian_polynomial", "contact_polynomial",
     "verify_claimed_form",
     "builtin", "parse_catalog", "parse_catalog_file", "parse_form",
-    "render_catalog", "render_form",
 ]

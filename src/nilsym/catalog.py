@@ -36,7 +36,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .exterior import Multivector, signed_sum, wedge_sign
+from .exterior import Multivector, wedge_sign
 from .liealg import MAX_DIM, LieAlgebra, bracket_key, bracket_row
 from .mpoly import MPoly
 
@@ -133,7 +133,8 @@ def _signed_terms(s, line=None):
 
 
 def _parse_simple_coeff(s, param, line, sign=1):
-    """A product of rational and lambda factors, e.g. `2*lambda`."""
+    """A product of rational and lambda factors, e.g. `2*lambda`, as
+    (power of lambda, sign * rational)."""
     coeff = Fraction(sign)
     power = 0
     for factor in s.split("*"):
@@ -156,35 +157,44 @@ def _parse_simple_coeff(s, param, line, sign=1):
         if power > MAX_LAMBDA_POWER:
             raise CatalogError("lambda power in %r exceeds %d"
                                % (s, MAX_LAMBDA_POWER), line)
-    if power:
-        if param is None:
-            raise CatalogError("'lambda' used without a param declaration", line)
-        return MPoly(1, {(0,) * power: coeff})
-    return coeff
+    if power and param is None:
+        raise CatalogError("'lambda' used without a param declaration", line)
+    return power, coeff
 
 
-def _parse_coeff(text, param, line):
-    s = text.strip()
-    if s.startswith("(") and s.endswith(")"):
-        return sum((_parse_simple_coeff(term, param, line, sign)
-                    for sign, term in _signed_terms(s[1:-1], line)), Fraction(0))
-    return _parse_simple_coeff(s, param, line)
+def _lambda_poly(powers):
+    """The coefficient of a {power of lambda: rational} map: an MPoly in
+    lambda while a power above 0 keeps a nonzero coefficient, else the
+    constant Fraction."""
+    constant = powers.pop(0, Fraction(0))
+    if not any(powers.values()):
+        return constant
+    powers[0] = constant
+    return MPoly(1, {(0,) * p: c for p, c in powers.items()})
 
 
-def _parse_bracket_rhs(text, param, line):
-    """{k: summed coefficient} of a bracket's right-hand side, unchecked."""
+def _parse_bracket_rhs(text, param, line, sign):
+    """{k: coefficient} of `sign` times a bracket's right-hand side, the
+    terms of each target summed by power of lambda, unchecked."""
     combo = {}
-    for sign, term in _signed_terms(text, line):
+    for term_sign, term in _signed_terms(text, line):
         m = _BRACKET_TERM.match(_WS.sub("", term))
         if not m:
             raise CatalogError("bad bracket term %r" % term, line)
         k = _int(m.group("k"), line)
         coef = m.group("coef")
-        c = Fraction(1) if coef is None else _parse_coeff(coef, param, line)
-        if sign < 0:
-            c = -c
-        combo[k] = combo.get(k, Fraction(0)) + c
-    return combo
+        sign_k = sign * term_sign
+        if coef is None:
+            terms = ((0, Fraction(sign_k)),)
+        elif coef.startswith("(") and coef.endswith(")"):
+            terms = [_parse_simple_coeff(t, param, line, sign_k * s)
+                     for s, t in _signed_terms(coef[1:-1], line)]
+        else:
+            terms = (_parse_simple_coeff(coef, param, line, sign_k),)
+        powers = combo.setdefault(k, {})
+        for p, c in terms:
+            powers[p] = powers[p] + c if p in powers else c
+    return {k: _lambda_poly(powers) for k, powers in combo.items()}
 
 
 class CatalogEntry(namedtuple("CatalogEntry",
@@ -216,54 +226,6 @@ class CatalogEntry(namedtuple("CatalogEntry",
                               for k, c in row.items()}
                         for key, row in brackets.items()}
         return LieAlgebra(self.name, self.dim, brackets)
-
-    def render(self):
-        lines = ["algebra %s" % self.name, "dim %d" % self.dim]
-        if self.param is not None:
-            if self.param_exclusions:
-                body = ", ".join(str(x) for x in sorted(self.param_exclusions))
-                lines.append("param lambda exclude {%s}" % body)
-            else:
-                lines.append("param lambda")
-        for (i, j) in sorted(self.brackets):
-            lines.append("bracket [%d,%d] = %s"
-                         % (i, j, _render_combo(self.brackets[(i, j)])))
-        for kind, expr in self.claimed_forms:
-            lines.append('form %s "%s"' % (kind, expr))
-        lines.append("end")
-        return "\n".join(lines)
-
-
-def _lambda_power(d):
-    return "lambda" if d == 1 else "lambda^%d" % d
-
-
-def _render_lambda(p):
-    """A lambda-polynomial by descending degree, in `signed_sum`'s layout
-    without its spaces, e.g. `lambda^3-1/3`; the caller parenthesizes it."""
-    return signed_sum((c, _lambda_power(len(key)) if key else "")
-                      for key, c in sorted(p.terms.items(), reverse=True)
-                      ).replace(" ", "")
-
-
-def _render_combo(combo):
-    """Targets in order; a constant or lambda-monomial coefficient comes out
-    bare with its sign (`- 2*lambda^2*e4`), a longer polynomial in
-    parentheses (`+ (2*lambda-1)*e3`)."""
-    terms = []
-    for k in sorted(combo):
-        c, target = combo[k], "e%d" % k
-        if isinstance(c, MPoly) and len(c.terms) > 1:
-            c, target = 1, "(%s)*%s" % (_render_lambda(c), target)
-        elif isinstance(c, MPoly):
-            (key, c), = c.terms.items()
-            target = "%s*%s" % (_lambda_power(len(key)), target)
-        terms.append((c, target))
-    return signed_sum(terms)
-
-
-def render_catalog(entries):
-    return "\n\n".join(e.render() for e in entries) + "\n"
 
 
 def parse_catalog(text):
@@ -333,8 +295,8 @@ def parse_catalog(text):
                 raise CatalogError(str(exc), lineno) from None
             rhs = m.group(3)
             try:
-                row = bracket_row(_parse_bracket_rhs(rhs, state["param"], lineno),
-                                  sign, state["dim"])
+                row = bracket_row(_parse_bracket_rhs(rhs, state["param"], lineno,
+                                                     sign), 1, state["dim"])
             except ValueError as exc:
                 raise CatalogError(getattr(exc, "body", str(exc)), lineno,
                                    raw.find(rhs) + 1) from None
@@ -445,16 +407,3 @@ def parse_form(expr, dim, has_y=False):
         if msign:  # Multivector drops the terms that cancel
             terms[mask] = terms.get(mask, 0) + coeff * msign
     return Multivector(ambient, terms)
-
-
-def form_labels(ambient, has_y=False):
-    """Dual labels x1..xn, with the last replaced by y for products with a."""
-    labels = ["x%d" % i for i in range(1, ambient + 1)]
-    if has_y:
-        labels[-1] = "y"
-    return labels
-
-
-def render_form(mv, has_y=False):
-    """Canonical text for a form, the inverse of parse_form."""
-    return mv.render(form_labels(mv.dim, has_y))

@@ -50,13 +50,13 @@ def _load_selection(args):
     """Resolve --builtin/path/--name into (algebra, entry-or-None) pairs,
     binding each entry only to its own parameter; a name no selected entry
     declares (any name, with --builtin) is an unknown parameter."""
-    bindings = _parse_bindings(getattr(args, "param", None))
+    bindings = _parse_bindings(args.param)
     entries = []
     if not args.builtin:
         if not args.path:
             raise ValueError("supply a catalog path or --builtin NAME")
         entries = parse_catalog_file(args.path)
-        if getattr(args, "name", None):
+        if args.name:
             entries = [e for e in entries if e.name == args.name]
             if not entries:
                 raise ValueError("no algebra named %r in %s" % (args.name, args.path))
@@ -71,6 +71,8 @@ def _load_selection(args):
 
 def _single_selection(args):
     pairs = _load_selection(args)
+    if not pairs:
+        raise ValueError("catalog %s holds no algebras" % args.path)
     if len(pairs) != 1:
         raise ValueError("catalog holds %d algebras; select one with --name"
                          % len(pairs))
@@ -333,12 +335,11 @@ def _cmd_report(args):
 # ---- argument parsing --------------------------------------------------------
 
 
-def _add_source(sub, with_name=True):
+def _add_source(sub):
     sub.add_argument("path", nargs="?", help="catalog file (.cat)")
     sub.add_argument("--builtin", metavar="NAME",
                      help="bundled algebra: abelian:N, heisenberg:N, g13457C")
-    if with_name:
-        sub.add_argument("--name", help="select one algebra from the catalog")
+    sub.add_argument("--name", help="select one algebra from the catalog")
     sub.add_argument("--param", action="append", metavar="NAME=RATIONAL",
                      help="bind a structure-constant parameter, e.g. lambda=1/2")
     sub.add_argument("--json", metavar="PATH",

@@ -7,7 +7,7 @@ Multivector is a sparse map from monomial bitmask to a nonzero Fraction;
 the zero element has an empty map and all arithmetic is exact.
 
 The text rendering (`1/2*x1^x2 - x3^x4`) is the canonical form used by the
-catalog form grammar and the CLI; `signed_sum` writes it and every other sum.
+catalog form grammar and the CLI; `signed_sum` writes it and MPoly's text.
 """
 
 from fractions import Fraction
@@ -98,13 +98,6 @@ class Multivector:
                     clean[mask] = c
         self.terms = clean
 
-    # ---- constructors ----
-
-    @classmethod
-    def unit(cls, dim):
-        """The scalar 1 (empty monomial)."""
-        return cls(dim, {0: Fraction(1)})
-
     # ---- ring structure ----
 
     def _check_dim(self, other):
@@ -194,9 +187,6 @@ class Multivector:
         if not isinstance(other, Multivector):
             return NotImplemented
         return self.dim == other.dim and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
 
     def monomials(self):
         """Monomial masks in lexicographic order of their index tuples."""

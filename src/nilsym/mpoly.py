@@ -5,11 +5,14 @@ per factor: t1^2*t3 is (0, 0, 2) and the constant monomial is ().  Terms map
 monomials to nonzero Fractions; the zero polynomial has an empty term map,
 so identical vanishing is a dictionary emptiness check rather than a
 sampling question.
+
+An MPoly is a value, with no ring arithmetic: the Pfaffian expansion and the
+catalog's lambda parser build term maps and wrap them once.
 """
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import chain, groupby
+from itertools import groupby
 
 from .exterior import signed_sum
 from .linalg import integer_maps
@@ -69,51 +72,9 @@ class MPoly:
         out.nvars, out.terms = nvars, terms
         return out
 
-    # ---- constructors ----
-
-    @classmethod
-    def constant(cls, nvars, value):
-        return cls(nvars, {(): Fraction(value)})
-
-    # ---- ring structure ----
-
-    def _check(self, other):
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch: %d vs %d"
-                             % (self.nvars, other.nvars))
-
-    def __add__(self, other):
-        if not isinstance(other, MPoly):
-            other = MPoly.constant(self.nvars, other)
-        self._check(other)
-        return MPoly._of(self.nvars,
-                         _merge(chain(self.terms.items(), other.terms.items())))
-
-    __radd__ = __add__
-
     def __neg__(self):
+        """-p, as `bracket_row` stores a reversed bracket [e_j, e_i]."""
         return MPoly._of(self.nvars, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, MPoly):
-            other = MPoly.constant(self.nvars, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, MPoly):
-            c = other if isinstance(other, Fraction) else Fraction(other)
-            if not c:
-                return MPoly(self.nvars)
-            return MPoly._of(self.nvars, {k: c * v for k, v in self.terms.items()})
-        self._check(other)
-        return MPoly._of(self.nvars, _merge(
-            (tuple(sorted(k1 + k2)), c1 * c2)
-            for k1, c1 in self.terms.items() for k2, c2 in other.terms.items()))
-
-    __rmul__ = __mul__
 
     # ---- queries ----
 
@@ -130,9 +91,6 @@ class MPoly:
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
     def total_degree(self):
         """Max term degree; -1 for the zero polynomial."""
         return max(map(len, self.terms), default=-1)
@@ -147,13 +105,6 @@ class MPoly:
                 coeff *= point[i]
             total += coeff
         return total
-
-    def substitute(self, i, value):
-        """Fix variable i (0-based) to `value`; the result keeps nvars."""
-        if not 0 <= i < self.nvars:
-            raise ValueError("variable index %d out of range" % i)
-        value = value if isinstance(value, Fraction) else Fraction(value)
-        return MPoly._of(self.nvars, _substituted(self.terms, i, value))
 
     def __str__(self):
         return signed_sum(

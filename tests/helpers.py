@@ -340,7 +340,7 @@ def wedge_power(form, k):
     power is 1.  The oracle for the rank checks of `verify_claimed_form`."""
     if k < 0:
         raise ValueError("wedge power must be >= 0")
-    out = Multivector.unit(form.dim)
+    out = Multivector(form.dim, {0: 1})
     for _ in range(k):
         out = out.wedge(form)
     return out
@@ -358,7 +358,7 @@ def oracle_pfaffian(basis, dim, m):
     full_mask = (1 << dim) - 1
     terms = {}
     for combo in itertools.product(range(k), repeat=m):
-        prod = Multivector.unit(dim)
+        prod = Multivector(dim, {0: 1})
         for i in combo:
             prod = prod.wedge(basis[i])
         c = prod.terms.get(full_mask)

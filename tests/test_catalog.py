@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from nilsym import (CatalogError, LieAlgebra, MPoly, Multivector, builtin,
                     cli, jacobi_violation, mask_of, parse_catalog, parse_form,
-                    render_catalog, render_form, upper_central_series)
+                    upper_central_series)
 from helpers import random_multivector
 
 HEISENBERG5_TEXT = """\
@@ -129,9 +130,8 @@ def test_parse_lambda_coefficients():
     e = parse_catalog(text)[0]
     assert e.param == "lambda"
     assert e.param_exclusions == (Fraction(0), Fraction(1, 2))
-    lam = MPoly(1, {(0,): 1})
-    assert e.brackets[(1, 2)][3] == lam
-    assert e.brackets[(1, 3)][3] == 2 * lam - 1
+    assert e.brackets[(1, 2)][3] == MPoly(1, {(0,): 1})
+    assert e.brackets[(1, 3)][3] == MPoly(1, {(0,): 2, (): -1})
     g = e.algebra({"lambda": Fraction(1)})
     assert g.bracket_basis(1, 3) == {2: Fraction(1), 3: Fraction(1)}
     with pytest.raises(ValueError, match="excluded"):
@@ -187,13 +187,10 @@ def test_parse_bare_param_line_and_quadratic_lambda():
             "bracket [1,2] = lambda^2*e3 + (1-lambda^2)*e2\nend\n")
     e = parse_catalog(text)[0]
     assert e.param == "lambda" and e.param_exclusions == ()
-    lam = MPoly(1, {(0,): 1})
-    assert e.brackets[(1, 2)][3] == lam * lam
-    assert e.brackets[(1, 2)][2] == 1 - lam * lam
+    assert e.brackets[(1, 2)][3] == MPoly(1, {(0, 0): 1})
+    assert e.brackets[(1, 2)][2] == MPoly(1, {(): 1, (0, 0): -1})
     g = e.algebra({"lambda": Fraction(2)})
     assert g.bracket_basis(1, 2) == {3: Fraction(4), 2: Fraction(-3)}
-    # canonical rendering keeps the quadratic readable and reparsable
-    assert parse_catalog(e.render() + "\n") == [e]
 
 
 def test_lambda_terms_that_cancel_leave_a_constant(tmp_path, capsys):
@@ -267,30 +264,50 @@ def test_claimed_forms_carried_verbatim():
                                ("contact", "x1"))
 
 
-def test_render_parse_round_trip_is_canonical():
-    text = ("algebra fam\ndim 4\nparam lambda exclude {1/2, 0}\n"
-            "bracket [2,1] = e3 - 1/2*e4\n"
-            "bracket [3,4] = 2*lambda*e1\n"
-            'form symplectic "x1^x2 + x3^x4"\nend\n')
-    entries = parse_catalog(text)
-    canonical = render_catalog(entries)
-    assert parse_catalog(canonical) == entries
-    # rendering is a fixed point on its own output
-    assert render_catalog(parse_catalog(canonical)) == canonical
-
-
-def test_render_canonical_layout():
-    e = parse_catalog("algebra g\ndim 3\nbracket [1,2] = -e3\nend\n")[0]
-    assert e.render() == "algebra g\ndim 3\nbracket [1,2] = -e3\nend"
-
-
-def test_render_lambda_coefficients_pinned():
+def test_parse_lambda_coefficients_pinned():
     text = ("algebra fam\ndim 4\nparam lambda\n"
             "bracket [1,3] = (-1/3 + lambda^3)*e4 + (2*lambda - 1)*e3 + e2\n"
             "bracket [1,2] = lambda*e3 - 2*lambda*lambda*e4\nend\n")
-    lines = render_catalog(parse_catalog(text)).splitlines()
-    assert "bracket [1,3] = e2 + (2*lambda-1)*e3 + (lambda^3-1/3)*e4" in lines
-    assert "bracket [1,2] = lambda*e3 - 2*lambda^2*e4" in lines
+    (e,) = parse_catalog(text)
+    assert e.brackets == {
+        (1, 3): {4: MPoly(1, {(): Fraction(-1, 3), (0, 0, 0): 1}),
+                 3: MPoly(1, {(0,): 2, (): -1}), 2: Fraction(1)},
+        (1, 2): {3: MPoly(1, {(0,): 1}), 4: MPoly(1, {(0, 0): -2})}}
+
+
+# (bracket line, the row it stores, the same bracket at lambda = 2 written
+# with a rational constant)
+LAMBDA_CASES = {
+    "reversed-bracket": ("bracket [3,1] = (2*lambda-1)*e2",
+                         {(1, 3): {2: MPoly(1, {(0,): -2, (): 1})}},
+                         "bracket [3,1] = 3*e2"),
+    "cancelling-terms": ("bracket [1,2] = lambda*e3 + e3 - lambda*e3",
+                         {(1, 2): {3: Fraction(1)}}, "bracket [1,2] = e3"),
+    "rational-factors": ("bracket [1,2] = 2*lambda*1/2*e3",
+                         {(1, 2): {3: MPoly(1, {(0,): 1})}},
+                         "bracket [1,2] = 2*e3"),
+}
+
+
+@pytest.mark.parametrize("line, stored, at_two", LAMBDA_CASES.values(),
+                         ids=LAMBDA_CASES.keys())
+def test_lambda_coefficient_cases(line, stored, at_two, tmp_path, capsys):
+    family = "algebra g\ndim 3\nparam lambda\n%s\nend\n" % line
+    constant = "algebra g\ndim 3\n%s\nend\n" % at_two
+    (entry,), (fixed,) = parse_catalog(family), parse_catalog(constant)
+    assert entry.brackets == stored
+    assert all(type(c) is type(stored[key][k])
+               for key, row in entry.brackets.items() for k, c in row.items())
+    assert entry.algebra({"lambda": 2}) == fixed.algebra()
+    rows = []
+    for name, text, extra in (("family", family, ["--param", "lambda=2"]),
+                              ("constant", constant, [])):
+        path, out = tmp_path / (name + ".cat"), tmp_path / (name + ".json")
+        path.write_text(text)
+        assert cli.main(["check", str(path), "--json", str(out)] + extra) == 0
+        rows.append(json.loads(out.read_text()))
+    assert rows[0] == rows[1]
+    capsys.readouterr()
 
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -330,11 +347,7 @@ def lambda_entries(draw):
 @given(lambda_entries(), small_rationals)
 def test_lambda_render_parse_round_trip_and_evaluation(case, r):
     text, polys = case
-    entries = parse_catalog(text)
-    canonical = render_catalog(entries)
-    assert parse_catalog(canonical) == entries
-    assert render_catalog(parse_catalog(canonical)) == canonical
-    (entry,) = entries
+    (entry,) = parse_catalog(text)
     assume(r not in entry.param_exclusions)
     g = entry.algebra({"lambda": r})
     expected = {}
@@ -437,7 +450,7 @@ def test_parse_form_errors():
 
 def test_parse_form_bare_constant_and_degree_one():
     assert parse_form("x1", 5) == mono(5, 1)
-    assert parse_form("3/2", 5) == Fraction(3, 2) * Multivector.unit(5)
+    assert parse_form("3/2", 5) == Fraction(3, 2) * Multivector(5, {0: 1})
 
 
 def test_parse_form_whitespace_insensitive():
@@ -453,5 +466,8 @@ def test_form_render_round_trip_random():
         has_y = rng.random() < 0.5
         ambient = dim + 1 if has_y else dim
         m = random_multivector(rng, ambient, nterms=4)
-        text = render_form(m, has_y=has_y)
+        labels = ["x%d" % i for i in range(1, ambient + 1)]
+        if has_y:
+            labels[-1] = "y"
+        text = m.render(labels)
         assert parse_form(text, dim, has_y=has_y) == m

@@ -77,7 +77,7 @@ def test_differential_on_monomials_g13457C():
 
 def test_differential_kills_constants_and_closed_generators():
     c = build_complex(builtin("heisenberg:5"))
-    assert c.differential(Multivector.unit(5)).is_zero()
+    assert c.differential(Multivector(5, {0: 1})).is_zero()
     assert c.differential(mono(5, 2)).is_zero()
 
 
@@ -93,7 +93,7 @@ def test_differential_raises_degree_by_one():
 def test_differential_dimension_mismatch():
     c = build_complex(builtin("heisenberg:5"))
     with pytest.raises(ValueError):
-        c.differential(Multivector.unit(4))
+        c.differential(Multivector(4, {0: 1}))
 
 
 def jacobi_violator():
@@ -151,7 +151,7 @@ def test_cocycles_heisenberg5_times_a_degree2():
 
 def test_cocycles_degree_zero_are_constants():
     basis = cocycle_basis(build_complex(builtin("g13457C")), 0)
-    assert basis == [Multivector.unit(7)]
+    assert basis == [Multivector(7, {0: 1})]
 
 
 def test_cocycle_degree_out_of_range():

@@ -249,12 +249,23 @@ def test_catalog_selection_by_name(tmp_path, capsys):
     assert "--name" in err
 
 
+@pytest.mark.parametrize("command", [["symplectic"], ["contact"],
+                                     ["verify-form", "--kind", "contact",
+                                      "--form", "x1"]],
+                         ids=["symplectic", "contact", "verify-form"])
+def test_empty_catalog_says_it_holds_no_algebras(tmp_path, capsys, command):
+    path = tmp_path / "empty.cat"
+    path.write_text("# no algebras\n")
+    code, _, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 2
+    assert err == "error: catalog %s holds no algebras\n" % path
+
+
 def test_report_over_exported_builtins(tmp_path, capsys):
-    from nilsym import render_catalog, parse_catalog
     text = ("algebra h5\ndim 5\nbracket [2,3] = e1\nbracket [4,5] = e1\nend\n\n"
             "algebra a4\ndim 4\nend\n\n"
             "algebra h3\ndim 3\nbracket [2,3] = e1\nend\n")
-    (tmp_path / "three.cat").write_text(render_catalog(parse_catalog(text)))
+    (tmp_path / "three.cat").write_text(text)
     out_json = tmp_path / "report.json"
     code, out, _ = run(capsys, "report", str(tmp_path), "--json", str(out_json))
     assert code == 0

