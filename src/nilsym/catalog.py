@@ -163,9 +163,9 @@ def _parse_simple_coeff(s, param, line, sign=1):
 
 
 def _lambda_poly(powers):
-    """The coefficient of a {power of lambda: rational} map: an MPoly in
-    lambda while a power above 0 keeps a nonzero coefficient, else the
-    constant Fraction."""
+    """The coefficient of a {power of lambda: rational} map, which it
+    consumes: an MPoly in lambda while a power above 0 keeps a nonzero
+    coefficient, else the constant Fraction."""
     constant = powers.pop(0, Fraction(0))
     if not any(powers.values()):
         return constant
