@@ -2,9 +2,10 @@
 algebras presented by rational structure constants.
 
 All arithmetic is exact, on Fractions or on ints scaled from them (the
-complex's images, the Pfaffian expansion and the witness search run on
-ints); negative verdicts are proofs that a generic polynomial vanishes
-identically, positive verdicts ship a rational witness form.
+complex's images, the central series, the Pfaffian expansion, the witness
+search and the witnesses run on ints); negative verdicts are proofs that a
+generic polynomial vanishes identically, positive verdicts ship a rational
+witness form.
 """
 
 from .exterior import Multivector, indices_of, mask_of, wedge_sign

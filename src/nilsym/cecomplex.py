@@ -10,8 +10,9 @@ only Jacobi check: `liealg.jacobi_violation` is its public query, and
 `require_jacobi`, which Betti numbers and both decisions call, its precondition.
 
 There is one complex per algebra object: `build_complex` stores it on the
-algebra, so the Jacobi check, Betti numbers, cocycles, the contact
-polynomial and form verification all read the same one.  It is the only
+algebra, so the Jacobi check, the upper central series, Betti numbers,
+cocycles, the contact polynomial and form verification all read the same
+one.  It is the only
 implementation of d.  The generator differentials are scaled to integers
 once, by the lcm of their denominators (`scale`, from
 `linalg.integer_maps`), and the complex keeps the

@@ -30,7 +30,7 @@ to verify its witness there.
 
 from collections import namedtuple
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from .cecomplex import build_complex, cocycle_basis, require_jacobi
 from .exterior import Multivector, indices_of, wedge_sign
@@ -219,19 +219,21 @@ def pfaffian_polynomial(g, times_a=False):
 
 def symplectic_decide(g, times_a=False):
     """Exact decision: does g, or with `times_a` g x a, admit a closed
-    2-form of full rank.  A witness on g x a is verified on the product,
-    which is built only then."""
+    2-form of full rank.  The witness is sum t_i * row_i at the integer
+    grid point t, on the integer rows L * beta_i that the Pfaffian is
+    expanded on; a witness on g x a is verified on the product, which is
+    built only then."""
     p, basis = pfaffian_polynomial(g, times_a)
-    dim = g.dim + times_a
-    m = dim // 2
+    m = (g.dim + times_a) // 2
     if p.is_zero:
         return SymplecticVerdict(False, None, len(basis), m,
                                  "identically-zero-pfaffian")
-    point = find_nonvanishing_point(p)
-    witness = Multivector(dim)
-    for t, b in zip(point, basis):
+    rows, _ = integer_maps(b.terms for b in basis)
+    witness = {}
+    for t, row in zip(find_nonvanishing_point(p), rows):
         if t:
-            witness = witness + t * b
+            for mask, num in row.items():
+                witness[mask] = witness.get(mask, 0) + t * num
     witness = _verified(times_line(g) if times_a else g, witness, "symplectic")
     return SymplecticVerdict(True, witness, len(basis), m, "witness")
 
@@ -270,15 +272,22 @@ def contact_decide(g):
     if q.is_zero:
         return ContactVerdict(False, None)
     point = find_nonvanishing_point(q)
-    witness = Multivector(g.dim, {1 << i: s for i, s in enumerate(point) if s})
+    witness = {1 << i: s for i, s in enumerate(point)}
     return ContactVerdict(True, _verified(g, witness, "contact"))
 
 
-def _verified(g, form, kind):
-    """form in canonical integer form, checked on g as a claimed form of
-    this kind.  It comes from a grid point where the top coefficient does
-    not vanish, so a failed check is a bug, raised as AssertionError."""
-    witness = form.canonical_integer_form()
+def _verified(g, terms, kind):
+    """The Multivector of an integer map {mask: int}, in canonical form,
+    checked on g as a claimed form of this kind.  The canonical form has
+    coprime coefficients and its lex-least monomial positive, so a positive
+    common scale of `terms` leaves it as it is.  The map comes from a grid
+    point where the top coefficient does not vanish, so a failed check is a
+    bug, raised as AssertionError."""
+    terms = {m: v for m, v in terms.items() if v}
+    div = gcd(*terms.values())
+    if terms[min(terms, key=indices_of)] < 0:
+        div = -div
+    witness = Multivector(g.dim, {m: v // div for m, v in terms.items()})
     report = verify_claimed_form(g, witness, kind)
     if not report.passed:
         raise AssertionError("witness failed verification: %s" % report.summary())

@@ -3,17 +3,16 @@
 Basis 1-forms are indexed 1..dim.  A monomial x_{i_1}^...^x_{i_k} with
 strictly increasing indices (^ is the wedge) is stored as an integer bitmask
 with bit i-1 set, so index sets are canonical by construction.  A
-Multivector is a sparse map from monomial bitmask to a nonzero Fraction;
-the zero element has an empty map and all arithmetic is exact.
+Multivector is a validated sparse map from monomial bitmask to a nonzero
+Fraction, with degree queries and rendering; the zero element has an empty
+map.  It has no ring arithmetic: the complex and the decisions compute on
+integer term maps and wrap a Multivector once, around a result.
 
 The text rendering (`1/2*x1^x2 - x3^x4`) is the canonical form used by the
 catalog form grammar and the CLI; `signed_sum` writes it and MPoly's text.
 """
 
 from fractions import Fraction
-from math import gcd
-
-from .linalg import integer_maps
 
 
 def mask_of(indices):
@@ -98,72 +97,6 @@ class Multivector:
                     clean[mask] = c
         self.terms = clean
 
-    # ---- ring structure ----
-
-    def _check_dim(self, other):
-        if self.dim != other.dim:
-            raise ValueError("ambient dimension mismatch: %d vs %d"
-                             % (self.dim, other.dim))
-
-    def wedge(self, other):
-        self._check_dim(other)
-        acc = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                if m1 & m2:
-                    continue
-                s = wedge_sign(m1, m2)
-                m = m1 | m2
-                c = c1 * c2 if s > 0 else -c1 * c2
-                prev = acc.get(m)
-                if prev is None:
-                    acc[m] = c
-                else:
-                    t = prev + c
-                    if t:
-                        acc[m] = t
-                    else:
-                        del acc[m]
-        out = Multivector(self.dim)
-        out.terms = acc
-        return out
-
-    __xor__ = wedge
-
-    def __add__(self, other):
-        self._check_dim(other)
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            prev = acc.get(m)
-            if prev is None:
-                acc[m] = c
-            else:
-                t = prev + c
-                if t:
-                    acc[m] = t
-                else:
-                    del acc[m]
-        out = Multivector(self.dim)
-        out.terms = acc
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        out = Multivector(self.dim)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
-
-    def __mul__(self, scalar):
-        c = scalar if isinstance(scalar, Fraction) else Fraction(scalar)
-        out = Multivector(self.dim)
-        if c:
-            out.terms = {m: c * v for m, v in self.terms.items()}
-        return out
-
-    __rmul__ = __mul__
-
     # ---- structure queries ----
 
     def degrees(self):
@@ -191,20 +124,6 @@ class Multivector:
     def monomials(self):
         """Monomial masks in lexicographic order of their index tuples."""
         return sorted(self.terms, key=indices_of)
-
-    def canonical_integer_form(self):
-        """Rescale to coprime integer coefficients, lex-leading one positive.
-
-        The zero element is returned unchanged.  Used to print stable
-        witnesses: the result spans the same line as self.
-        """
-        if not self.terms:
-            return self
-        (nums,), denom = integer_maps((self.terms,))
-        scale = Fraction(denom, gcd(*nums.values()))
-        if self.terms[self.monomials()[0]] < 0:
-            scale = -scale
-        return scale * self
 
     # ---- rendering ----
 

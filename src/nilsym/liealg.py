@@ -20,7 +20,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .cecomplex import build_complex, d_squared_violation
-from .linalg import integer_maps, relations
+from .exterior import indices_of
+from .linalg import relations
 from .mpoly import MPoly
 
 MAX_DIM = 64
@@ -143,33 +144,33 @@ def upper_central_series(g):
     C_0 = 0 and C_{i+1} = {x : [x, e_j] in C_i for all j}.  The annihilator
     Ann(C_0) is spanned by all coordinate functionals, and x lies in C_{i+1}
     exactly when phi([x, e_j]) = 0 for every phi in Ann(C_i) and every j.
-    So Ann(C_{i+1}) is spanned by the functionals psi_{phi,j} with
-    psi_{phi,j}(e_i) = sum_k phi_k c_ij^k, and dim C_{i+1} = n - their rank;
-    the independent ones span the next step.  The structure constants are
-    scaled to integers once, which changes no span, so every psi is an
-    integer map {i: psi(e_i)} and no kernel, residual or dense bracket
-    table is built.  Stops when the series stabilizes; nilpotent iff it
-    reaches dim.
+    As d phi(e_i, e_j) = -phi([e_i, e_j]), Ann(C_{i+1}) is spanned by the
+    interior products iota_{e_j} d phi, and dim C_{i+1} = n - their rank;
+    the independent ones span the next step.  d phi is read off the
+    complex's integer images scale * dx_k, as sum_k phi_k scale * dx_k, and
+    a common scale changes no span, so every functional is an integer map
+    {i: value} and no kernel, residual or bracket table is built.  Stops
+    when the series stabilizes; nilpotent iff it reaches dim.
     """
     n = g.dim
-    # ad[j] lists (i, {k: scale * c_ij^k}) for every nonzero [e_i, e_j]
-    ad = [[] for _ in range(n + 1)]
-    for (i, j), scaled in zip(g.brackets, integer_maps(g.brackets.values())[0]):
-        ad[j].append((i, scaled))
-        ad[i].append((j, {k: -c for k, c in scaled.items()}))
+    dx = build_complex(g).images(1)
     spanning = [{k: 1} for k in range(1, n + 1)]  # Ann(C_0)
     dims = []
     while True:
         psis = []
         for phi in spanning:
-            for pairs in ad:
-                psi = {}
-                for i, combo in pairs:
-                    v = sum(phi.get(k, 0) * c for k, c in combo.items())
-                    if v:
-                        psi[i] = v
-                if psi:
-                    psis.append(psi)
+            dphi = {}
+            for k, f in phi.items():
+                for m, v in dx[1 << (k - 1)].items():
+                    dphi[m] = dphi.get(m, 0) + f * v
+            # iota_{e_i} (v x_i ^ x_j) = v x_j and iota_{e_j} (v x_i ^ x_j) = -v x_i
+            iotas = {}
+            for m, v in dphi.items():
+                if v:
+                    i, j = indices_of(m)
+                    iotas.setdefault(i, {})[j] = v
+                    iotas.setdefault(j, {})[i] = -v
+            psis += [iotas[j] for j in sorted(iotas)]
         spanning = [psi for psi, rel in zip(psis, relations(psis)) if rel is None]
         new_dim = n - len(spanning)
         if dims and new_dim == dims[-1]:

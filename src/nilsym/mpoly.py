@@ -117,7 +117,8 @@ class MPoly:
 
 
 def find_nonvanishing_point(p):
-    """Lexicographically least point on {0..d}^nvars where p is nonzero.
+    """Lexicographically least point on {0..d}^nvars where p is nonzero, as
+    a list of ints.
 
     d is the total degree of p.  Works by fixing variables left to right:
     a nonzero polynomial of per-variable degree <= d cannot vanish at all
@@ -137,7 +138,7 @@ def find_nonvanishing_point(p):
         for v in range(d + 1):
             r = _substituted(q, i, v)
             if r:
-                point.append(Fraction(v))
+                point.append(v)
                 q = r
                 break
         else:  # impossible for nonzero q by the grid bound

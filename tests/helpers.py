@@ -3,7 +3,9 @@ oracles.  The oracles deliberately reimplement their targets by a different
 route (permutation expansion, fraction-free elimination, full-row
 elimination, brute-force enumeration) so the production path is checked
 against something it does not share code with; none imports
-`nilsym.linalg`.
+`nilsym.linalg`.  `Multivector` has no arithmetic, so the tests build and
+combine forms with `form`, `combine` and `wedge` here, and
+`canonical_integer_form` is the oracle for the witnesses' normal form.
 """
 
 import itertools
@@ -23,6 +25,57 @@ def rnd_nonzero_fraction(rng, num=9, den=4):
         f = rnd_fraction(rng, num, den)
         if f:
             return f
+
+
+def form(dim, terms):
+    """The Multivector sum c x_I over {I: c}, each I a tuple of 1-based
+    indices in increasing order."""
+    return Multivector(dim, {mask_of(ix): c for ix, c in terms.items()})
+
+
+def combine(*pairs):
+    """sum c * f over (c, f) pairs of forms of one ambient dimension, summed
+    term by term.  Raises ValueError on a dimension mismatch."""
+    dims = {f.dim for _, f in pairs}
+    if len(dims) != 1:
+        raise ValueError("need forms of one ambient dimension, got %s" % sorted(dims))
+    acc = {}
+    for c, f in pairs:
+        for m, v in f.terms.items():
+            acc[m] = acc.get(m, 0) + c * v
+    return Multivector(dims.pop(), acc)
+
+
+def wedge(a, b):
+    """a ^ b.  Each product of monomials is signed by the parity of the
+    inversions of its concatenated index tuple, counted pair by pair, not
+    by `wedge_sign`'s bit counts.  Raises ValueError on a dimension
+    mismatch."""
+    if a.dim != b.dim:
+        raise ValueError("ambient dimension mismatch: %d vs %d" % (a.dim, b.dim))
+    acc = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            if m1 & m2:
+                continue
+            ix = indices_of(m1) + indices_of(m2)
+            inversions = sum(1 for s, t in itertools.combinations(ix, 2) if s > t)
+            acc[m1 | m2] = acc.get(m1 | m2, 0) + (-1) ** inversions * c1 * c2
+    return Multivector(a.dim, acc)
+
+
+def canonical_integer_form(f):
+    """f rescaled, in Fractions, to coprime integer coefficients with the
+    coefficient of its lex-least monomial positive; the zero form is
+    returned as it is.  The oracle for the witnesses' canonical form."""
+    if not f.terms:
+        return f
+    den = math.lcm(*(c.denominator for c in f.terms.values()))
+    scale = Fraction(den, math.gcd(*(c.numerator * (den // c.denominator)
+                                     for c in f.terms.values())))
+    if f.terms[f.monomials()[0]] < 0:
+        scale = -scale
+    return combine((scale, f))
 
 
 def random_multivector(rng, dim, nterms=4, degrees=None):
@@ -335,14 +388,14 @@ def brute_grid_first_nonzero(p):
     return None
 
 
-def wedge_power(form, k):
-    """k-fold wedge of form with itself, every ordering expanded; the 0th
+def wedge_power(omega, k):
+    """k-fold wedge of omega with itself, every ordering expanded; the 0th
     power is 1.  The oracle for the rank checks of `verify_claimed_form`."""
     if k < 0:
         raise ValueError("wedge power must be >= 0")
-    out = Multivector(form.dim, {0: 1})
+    out = Multivector(omega.dim, {0: 1})
     for _ in range(k):
-        out = out.wedge(form)
+        out = wedge(out, omega)
     return out
 
 
@@ -360,7 +413,7 @@ def oracle_pfaffian(basis, dim, m):
     for combo in itertools.product(range(k), repeat=m):
         prod = Multivector(dim, {0: 1})
         for i in combo:
-            prod = prod.wedge(basis[i])
+            prod = wedge(prod, basis[i])
         c = prod.terms.get(full_mask)
         if c:
             key = tuple(sorted(combo))
@@ -383,7 +436,7 @@ def oracle_contact_poly(g):
         for combo in itertools.product(range(n2), repeat=n):
             prod = Multivector(n2, {1 << i0: 1})
             for i in combo:
-                prod = prod.wedge(diffs[i])
+                prod = wedge(prod, diffs[i])
             c = prod.terms.get(full_mask)
             if c:
                 key = tuple(sorted((i0,) + combo))

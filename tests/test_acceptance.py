@@ -16,7 +16,7 @@ from nilsym import (LieAlgebra, Multivector, betti_numbers, build_complex,
                     jacobi_violation, mask_of, pfaffian_polynomial, parse_form,
                     symplectic_decide, verify_claimed_form)
 from nilsym import cli
-from helpers import (change_basis, det, oracle_d_squared_vanishes,
+from helpers import (change_basis, combine, det, form, oracle_d_squared_vanishes,
                      oracle_jacobi_violation, random_invertible, rnd_fraction,
                      skew_gram_matrix, splice_line_witnesses)
 
@@ -72,9 +72,9 @@ def test_criterion_2_g13457C_fixture():
             Multivector(7), Multivector(7),
             mono(7, 1, 2), mono(7, 1, 3), mono(7, 1, 4),
             Multivector(7),
-            mono(7, 1, 6) + mono(7, 2, 5) - mono(7, 3, 4)]
+            form(7, {(1, 6): 1, (2, 5): 1, (3, 4): -1})]
         actual = list(build_complex(g).generator_differentials)
-        assert any(all(a == s * e for a, e in zip(actual, published))
+        assert any(all(a == combine((s, e)) for a, e in zip(actual, published))
                    for s in (1, -1))
         assert not symplectic_decide(times_a(g)).admits
         assert time.perf_counter() - start < 10.0
@@ -117,9 +117,7 @@ def test_criterion_4_pfaffian_squared_is_determinant():
             p, basis = pfaffian_polynomial(g)
             for _ in range(50):
                 point = [rnd_fraction(rng) for _ in range(len(basis))]
-                omega = Multivector(g.dim)
-                for t, b in zip(point, basis):
-                    omega = omega + t * b
+                omega = combine(*zip(point, basis))
                 assert p.evaluate(point) ** 2 == det(skew_gram_matrix(omega))
         assert time.perf_counter() - start < 60.0
 

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from nilsym import (CatalogError, LieAlgebra, MPoly, Multivector, builtin,
                     cli, jacobi_violation, mask_of, parse_catalog, parse_form,
                     upper_central_series)
-from helpers import random_multivector
+from helpers import form, random_multivector
 
 HEISENBERG5_TEXT = """\
 # Heisenberg, dimension five
@@ -410,8 +410,8 @@ def test_heisenberg_ucs_profile():
 
 
 def test_parse_form_a5_row():
-    form = parse_form("x1^x2 + x3^x4 + x5^y", 5, has_y=True)
-    assert form == mono(6, 1, 2) + mono(6, 3, 4) + mono(6, 5, 6)
+    parsed = parse_form("x1^x2 + x3^x4 + x5^y", 5, has_y=True)
+    assert parsed == form(6, {(1, 2): 1, (3, 4): 1, (5, 6): 1})
 
 
 def test_parse_form_2357C_row():
@@ -426,13 +426,13 @@ def test_parse_form_repeated_generator_is_zero():
 
 
 def test_parse_form_unsorted_generators_pick_up_sign():
-    assert parse_form("x3^x2", 4) == -mono(4, 2, 3)
-    assert parse_form("x1^x3^x2", 4) == -mono(4, 1, 2, 3)
+    assert parse_form("x3^x2", 4) == form(4, {(2, 3): -1})
+    assert parse_form("x1^x3^x2", 4) == form(4, {(1, 2, 3): -1})
 
 
 def test_parse_form_fractional_coefficients():
-    form = parse_form("1/2*x3^x6 + x1^x7", 7)
-    assert form.terms[mask_of((3, 6))] == Fraction(1, 2)
+    parsed = parse_form("1/2*x3^x6 + x1^x7", 7)
+    assert parsed.terms[mask_of((3, 6))] == Fraction(1, 2)
 
 
 def test_parse_form_errors():
@@ -450,7 +450,7 @@ def test_parse_form_errors():
 
 def test_parse_form_bare_constant_and_degree_one():
     assert parse_form("x1", 5) == mono(5, 1)
-    assert parse_form("3/2", 5) == Fraction(3, 2) * Multivector(5, {0: 1})
+    assert parse_form("3/2", 5) == form(5, {(): Fraction(3, 2)})
 
 
 def test_parse_form_whitespace_insensitive():

@@ -6,14 +6,16 @@ import pytest
 
 from nilsym import (LieAlgebra, MPoly, Multivector, build_complex, builtin,
                     cocycle_basis, contact_decide, detect,
-                    contact_polynomial, direct_product, mask_of, parse_catalog_file,
+                    contact_polynomial, direct_product, find_nonvanishing_point,
+                    mask_of, parse_catalog_file,
                     parse_form, pfaffian_polynomial, symplectic_decide,
                     upper_central_series, verify_claimed_form)
 from nilsym.detect import _closed_two_forms
-from helpers import (change_basis, classic_pfaffian_4x4, det, oracle_contact_poly,
+from helpers import (canonical_integer_form, change_basis, classic_pfaffian_4x4,
+                     combine, det, form, oracle_contact_poly,
                      oracle_differential, oracle_pfaffian, random_invertible,
                      random_multivector, random_nilpotent, rnd_fraction,
-                     skew_gram_matrix, splice_line_witnesses, wedge_power)
+                     skew_gram_matrix, splice_line_witnesses, wedge, wedge_power)
 
 BUNDLED_CATALOG = Path(__file__).resolve().parent.parent / "catalogs" / "bundled.cat"
 
@@ -141,8 +143,7 @@ def test_g13457C_times_a_is_not_symplectic():
 def test_abelian8_witness_is_a_perfect_matching():
     v = symplectic_decide(builtin("abelian:8"))
     assert v.admits and v.pfaffian_nvars == 28
-    assert v.witness == (mono(8, 1, 8) + mono(8, 2, 7)
-                         + mono(8, 3, 6) + mono(8, 4, 5))
+    assert v.witness == form(8, {(1, 8): 1, (2, 7): 1, (3, 6): 1, (4, 5): 1})
     assert verify_claimed_form(builtin("abelian:8"), v.witness,
                                "symplectic").passed
 
@@ -151,7 +152,7 @@ def test_abelian5_times_a_witness():
     g = times_a("abelian:5")
     v = symplectic_decide(g)
     assert v.admits
-    assert v.witness == mono(6, 1, 6) + mono(6, 2, 5) + mono(6, 3, 4)
+    assert v.witness == form(6, {(1, 6): 1, (2, 5): 1, (3, 4): 1})
     assert verify_claimed_form(g, v.witness, "symplectic").passed
     # deterministic: a second run returns the identical witness
     assert symplectic_decide(g).witness == v.witness
@@ -224,14 +225,12 @@ def test_pfaffian_squared_is_determinant():
         p, basis = pfaffian_polynomial(g)
         for _ in range(10):
             point = [rnd_fraction(rng) for _ in range(len(basis))]
-            omega = Multivector(g.dim)
-            for t, b in zip(point, basis):
-                omega = omega + t * b
+            omega = combine(*zip(point, basis))
             assert p.evaluate(point) ** 2 == det(skew_gram_matrix(omega))
 
 
 def test_skew_gram_matrix_entries():
-    w = mono(3, 1, 2) + 2 * mono(3, 1, 3)
+    w = form(3, {(1, 2): 1, (1, 3): 2})
     m = skew_gram_matrix(w)
     assert m[0][1] == 1 and m[1][0] == -1
     assert m[0][2] == 2 and m[2][0] == -2
@@ -303,7 +302,7 @@ def test_contact_check_reads_the_bordered_rank():
     # x2 ^ d x2 = 0, so only the row and column of alpha tell them apart.
     g = LieAlgebra("r2+a", 3, {(1, 2): {2: 1}})
     assert not verify_claimed_form(g, mono(3, 2), "contact").passed
-    assert verify_claimed_form(g, mono(3, 2) + mono(3, 3), "contact").passed
+    assert verify_claimed_form(g, form(3, {(2,): 1, (3,): 1}), "contact").passed
 
 
 def test_verify_claimed_form_parity_and_degree_errors():
@@ -339,19 +338,55 @@ def test_rank_checks_agree_with_wedge_powers():
             else:
                 kind, check, n = "symplectic", "nondegenerate", dim // 2
                 closed = cocycle_basis(c, 2)
-                forms = [sum((rng.choice((0, 0, 1, -1, 3)) * b for b in closed),
-                             Multivector(dim)) for _ in range(4)]
+                forms = [combine((0, Multivector(dim)),
+                                 *((rng.choice((0, 0, 1, -1, 3)), b) for b in closed))
+                         for _ in range(4)]
                 forms += [random_multivector(rng, dim, rng.randint(1, 2 * dim), (2,))
                           for _ in range(4)]
-            for form in forms:
+            for f in forms:
                 if kind == "contact":
-                    top = form.wedge(wedge_power(oracle_differential(c, form), n))
+                    top = wedge(f, wedge_power(oracle_differential(c, f), n))
                 else:
-                    top = wedge_power(form, n)
-                checks = dict(verify_claimed_form(g, form, kind).checks)
+                    top = wedge_power(f, n)
+                checks = dict(verify_claimed_form(g, f, kind).checks)
                 assert checks[check] == (not top.is_zero())
                 seen.add((kind, top.is_zero()))
     assert len(seen) == 4
+
+
+# ---- witnesses ------------------------------------------------------------
+
+
+def test_witnesses_are_the_canonical_form_of_the_grid_combination():
+    # The decisions sum the Pfaffian's integer rows L * beta_i, or take the
+    # contact grid point, in ints; the oracle sums t_i beta_i, or s_i x_i,
+    # in Fractions and scales the sum to its canonical integer form.  The
+    # basis changes give the beta_i non-unit constants.
+    rng = random.Random(70)
+    seen = set()
+    for dim in range(4, 10):
+        algebras = [random_nilpotent(rng, dim) for _ in range(3)]
+        algebras += [change_basis(g, random_invertible(rng, dim)) for g in algebras]
+        times_a = dim % 2 == 1
+        for h in algebras:
+            p, basis = pfaffian_polynomial(h, times_a)
+            if any(c.denominator > 1 for b in basis for c in b.terms.values()):
+                seen.add("fractional basis")
+            v = symplectic_decide(h, times_a)
+            seen.add(("symplectic", times_a, v.admits))
+            if v.admits:
+                point = find_nonvanishing_point(p)
+                assert v.witness == canonical_integer_form(combine(*zip(point, basis)))
+            if times_a:
+                q = contact_polynomial(h)
+                v = contact_decide(h)
+                seen.add(("contact", v.admits))
+                if v.admits:
+                    point = find_nonvanishing_point(q)
+                    assert v.witness == canonical_integer_form(
+                        form(dim, {(i + 1,): s for i, s in enumerate(point)}))
+    assert {("symplectic", False, True), ("symplectic", True, True),
+            ("contact", True), "fractional basis"} <= seen
 
 
 # ---- product witnesses --------------------------------------------------------
@@ -361,8 +396,7 @@ def test_product_witness_two_abelian5_copies():
     a5 = builtin("abelian:5")
     w = parse_form("x1^x2 + x3^x4 + x5^y", 5, has_y=True)
     spliced = splice_line_witnesses(w, 5)
-    expected = (mono(10, 1, 2) + mono(10, 3, 4) + mono(10, 5, 10)
-                + mono(10, 6, 7) + mono(10, 8, 9))
+    expected = form(10, {(1, 2): 1, (3, 4): 1, (5, 10): 1, (6, 7): 1, (8, 9): 1})
     assert spliced == expected
     prod = direct_product(a5, a5)
     assert verify_claimed_form(prod, spliced, "symplectic").passed

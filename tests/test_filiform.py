@@ -12,7 +12,7 @@ from nilsym import (MPoly, Multivector, betti_numbers, build_complex,
                     builtin, mask_of, parse_catalog, pfaffian_polynomial,
                     symplectic_decide, upper_central_series,
                     verify_claimed_form)
-from helpers import oracle_pfaffian
+from helpers import form, oracle_pfaffian
 
 FILIFORM_CAT = """\
 algebra filiform:4
@@ -56,7 +56,7 @@ def test_filiform4_pfaffian_and_witness():
     assert basis == [mono(4, 1, 2), mono(4, 1, 3), mono(4, 1, 4), mono(4, 2, 3)]
     assert p == MPoly(4, {(2, 3): 1})  # only x1x4 ^ x2x3 reaches the top monomial
     v = symplectic_decide(f4)
-    assert v.witness == mono(4, 1, 4) + mono(4, 2, 3)
+    assert v.witness == form(4, {(1, 4): 1, (2, 3): 1})
 
 
 def test_filiform5_has_no_contact_form():
@@ -70,12 +70,12 @@ def test_filiform5_has_no_contact_form():
 def test_filiform5_times_a_pfaffian():
     f5a = direct_product(entries()["filiform:5"], builtin("abelian:1"))
     p, basis = pfaffian_polynomial(f5a)
-    assert basis[7] == mono(6, 3, 4) - mono(6, 2, 5)
+    assert basis[7] == form(6, {(2, 5): -1, (3, 4): 1})
     assert p == MPoly(8, {(3, 6, 7): -1, (4, 7, 7): -1})
     assert p == oracle_pfaffian(basis, 6, 3)
     v = symplectic_decide(f5a)
     assert v.admits
-    assert v.witness == mono(6, 1, 6) - mono(6, 2, 5) + mono(6, 3, 4)
+    assert v.witness == form(6, {(1, 6): 1, (2, 5): -1, (3, 4): 1})
     assert verify_claimed_form(f5a, v.witness, "symplectic").passed
 
 
@@ -85,4 +85,4 @@ def test_kodaira_thurston_pfaffian():
     assert basis == [mono(4, 1, 2), mono(4, 1, 3), mono(4, 2, 3),
                      mono(4, 2, 4), mono(4, 3, 4)]
     assert p == MPoly(5, {(0, 4): 1, (1, 3): -1})
-    assert symplectic_decide(h3a).witness == mono(4, 1, 3) + mono(4, 2, 4)
+    assert symplectic_decide(h3a).witness == form(4, {(1, 3): 1, (2, 4): 1})

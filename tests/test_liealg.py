@@ -5,8 +5,9 @@ import pytest
 
 from nilsym import (LieAlgebra, MPoly, builtin, direct_product, jacobi_violation,
                     parse_catalog, upper_central_series)
-from helpers import (change_basis, identity, oracle_jacobi_violation, oracle_ucs,
-                     random_invertible, rnd_nonzero_fraction)
+from nilsym.liealg import MAX_DIM
+from helpers import (change_basis, filiform, identity, oracle_jacobi_violation,
+                     oracle_ucs, random_invertible, rnd_nonzero_fraction)
 
 
 def jacobi_violator():
@@ -278,6 +279,15 @@ def test_ucs_matches_dense_oracle():
         assert upper_central_series(h) == oracle_ucs(h) == expected
     assert not_nilpotent >= 50
     assert lengths >= {1, 2, 3, 4}
+
+
+def test_ucs_at_the_dimension_limit():
+    # No other test reaches MAX_DIM, and `check` stops at the Betti budget
+    # above dim 17; the series needs only the complex's dx_k.
+    assert MAX_DIM == 64
+    assert upper_central_series(filiform(64)).dims == tuple(range(1, 63)) + (64,)
+    assert upper_central_series(builtin("abelian:64")).dims == (64,)
+    assert upper_central_series(builtin("heisenberg:63")).dims == (1, 63)
 
 
 def test_product_of_nilpotents_is_nilpotent():
