@@ -38,6 +38,7 @@ from fractions import Fraction
 
 from .exterior import Multivector, wedge_sign
 from .liealg import MAX_DIM, LieAlgebra, bracket_key, bracket_row
+from .linalg import rational
 from .mpoly import MPoly
 
 
@@ -209,7 +210,8 @@ class CatalogEntry(namedtuple("CatalogEntry",
         substituted for the parameter.  Raises ValueError on a name other
         than the entry's parameter, on an excluded value, and on a
         coefficient that depends on the parameter when it is unbound."""
-        bindings = {name: Fraction(v) for name, v in (bindings or {}).items()}
+        bindings = {name: rational(v, "parameter %s" % name)
+                    for name, v in (bindings or {}).items()}
         for name in bindings:
             if name != self.param:
                 raise ValueError("unknown parameter %r" % name)
@@ -338,7 +340,7 @@ def builtin(name):
         return LieAlgebra("g13457C", 7, brackets)
     kind, _, arg = name.partition(":")
     if kind in ("abelian", "heisenberg"):
-        if not arg.isdigit():
+        if not arg.isdecimal():
             raise ValueError("builtin %r needs a size, e.g. %s:5" % (name, kind))
         n = int(arg)
         if n > MAX_DIM:

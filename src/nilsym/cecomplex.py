@@ -12,15 +12,17 @@ only Jacobi check: `liealg.jacobi_violation` is its public query, and
 There is one complex per algebra object: `build_complex` stores it on the
 algebra, so the Jacobi check, the upper central series, Betti numbers,
 cocycles, the contact polynomial and form verification all read the same
-one.  It is the only
-implementation of d.  The generator differentials are scaled to integers
-once, by the lcm of their denominators (`scale`, from
-`linalg.integer_maps`), and the complex keeps the
-integer images scale * d(x_I) one degree at a time, each built on first use
-from the degree below by the Leibniz rule: for x_I with lowest index i and
-rest J, d(x_I) = dx_i ^ x_J - x_i ^ d(x_J).  `CEComplex.differential` is a
-sum over those images divided by `scale`, and the d^2 verdict is computed
-once per complex.
+one.  It is the only implementation of d, and it keeps d only as integer
+images: the generator differentials -c_ij^k are scaled to integers once,
+straight from the structure constants, by the lcm of their denominators
+(`scale`, from `linalg.integer_maps`), and the images scale * d(x_I) are
+kept one degree at a time, each built on first use from the degree below
+by the Leibniz rule: for x_I with lowest index i and rest J,
+d(x_I) = dx_i ^ x_J - x_i ^ d(x_J).  `CEComplex.scaled_d` is the one
+reader of d on a form: scale * d of a term map, as a sum over those images.
+Every caller asks a question that a positive scale does not change
+(closed or not, a rank, a span), so nothing divides it back out.  The d^2
+verdict is computed once per complex.
 
 Betti numbers come from ranks of the images, computed by the sparse
 fraction-free eliminator (`linalg.rank`), so no dense matrix is built for
@@ -40,7 +42,6 @@ nonzero columns.  The dense matrix is refused, before anything is built,
 when it would hold more than COCYCLE_BUDGET entries.
 """
 
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -60,23 +61,26 @@ COCYCLE_BUDGET = 100000
 
 
 class CEComplex:
-    """The complex of one algebra: its generator differentials, and the
-    integer images of d and the d^2 verdict, each filled in on first use.
+    """The complex of one algebra: the integer images scale * d of its
+    monomials, from the generator differentials dx_k = -sum_{i<j} c_ij^k
+    x_i x_j on, and the d^2 verdict, each degree filled in on first use.
 
     It keeps the algebra's name, dimension and unimodularity, not the
     algebra itself, which holds the complex: a reference back would make a
     cycle that only the cyclic garbage collector frees.
     """
 
-    __slots__ = ("name", "dim", "unimodular", "generator_differentials",
-                 "scale", "_images", "_violation")
+    __slots__ = ("name", "dim", "unimodular", "scale", "_images", "_violation")
 
-    def __init__(self, algebra, generator_differentials):
+    def __init__(self, algebra):
         self.name = algebra.name
         self.dim = algebra.dim
         self.unimodular = is_unimodular(algebra)
-        self.generator_differentials = tuple(generator_differentials)
-        ints, self.scale = integer_maps(d.terms for d in self.generator_differentials)
+        diffs = [{} for _ in range(algebra.dim)]
+        for (i, j), row in algebra.brackets.items():
+            for k, c in row.items():
+                diffs[k - 1][(1 << (i - 1)) | (1 << (j - 1))] = -c
+        ints, self.scale = integer_maps(diffs)
         self._images = {0: {0: {}}, 1: {1 << k: t for k, t in enumerate(ints)}}
         self._violation = None  # (verdict,) once d_squared_violation has run
 
@@ -109,33 +113,26 @@ class CEComplex:
             cache[q] = images
         return cache[p]
 
-    def differential(self, f):
-        """d(f): the sum over the terms c x_I of f of c * d(x_I), read off
-        the integer images and divided by `scale`."""
-        if f.dim != self.dim:
-            raise ValueError("ambient dimension mismatch: %d vs %d"
-                             % (f.dim, self.dim))
+    def scaled_d(self, terms):
+        """scale * d of the form with term map `terms` {mask: rational}, as
+        a {mask: value} map with no zeros: the sum over its terms c x_I of
+        c times the integer image scale * d(x_I).  Raises ValueError on a
+        monomial outside the complex's dimension."""
         acc = {}
-        for mask, coeff in f.terms.items():
+        for mask, coeff in terms.items():
+            if mask >> self.dim:
+                raise ValueError("monomial %r outside ambient dimension %d"
+                                 % (indices_of(mask), self.dim))
             for m, v in self.images(mask.bit_count())[mask].items():
                 acc[m] = acc.get(m, 0) + coeff * v
-        out = Multivector(self.dim)
-        out.terms = {m: Fraction(c, self.scale) for m, c in acc.items() if c}
-        return out
+        return {m: c for m, c in acc.items() if c}
 
 
 def build_complex(g):
-    """The complex of g: built on the first call with the generator
-    differentials dx_k = -sum_{i<j} c_ij^k x_i x_j, stored on g, and
-    returned by every later call."""
+    """The complex of g: built on the first call, stored on g, and returned
+    by every later call."""
     if g._complex is None:
-        n = g.dim
-        diffs = [{} for _ in range(n)]
-        for (i, j), row in g.brackets.items():
-            mask = mask_of((i, j))
-            for k, c in row.items():
-                diffs[k - 1][mask] = diffs[k - 1].get(mask, Fraction(0)) - c
-        g._complex = CEComplex(g, [Multivector(n, d) for d in diffs])
+        g._complex = CEComplex(g)
     return g._complex
 
 
@@ -148,8 +145,8 @@ def d_squared_violation(c):
 
 
 def _first_violation(c):
-    return min((indices_of(m) for dxk in c.generator_differentials
-                for m in c.differential(dxk).terms), default=None)
+    return min((indices_of(m) for dxk in c.images(1).values()
+                for m in c.scaled_d(dxk)), default=None)
 
 
 def require_jacobi(c, what):

@@ -34,15 +34,19 @@ _HAS_Y = re.compile(r"\by\b")
 
 
 def _parse_bindings(pairs):
+    """{name: Fraction} of --param name=rational pairs, each name once."""
     bindings = {}
     for pair in pairs or ():
         name, eq, value = pair.partition("=")
+        name = name.strip()
         if not eq or not name or not value:
             raise ValueError("--param expects name=rational, got %r" % pair)
+        if name in bindings:
+            raise ValueError("--param %s given twice" % name)
         try:
-            bindings[name.strip()] = _parse_rational(value)
+            bindings[name] = _parse_rational(value)
         except CatalogError as exc:
-            raise ValueError("--param %s: %s" % (name.strip(), exc)) from None
+            raise ValueError("--param %s: %s" % (name, exc)) from None
     return bindings
 
 

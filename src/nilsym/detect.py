@@ -298,16 +298,16 @@ def _verified(g, terms, kind):
 
 
 def _skew_rank(omega, border=None):
-    """Rank of the skew matrix (omega(e_i, e_j)) of a 2-form, or with a
-    1-form `border` alpha, of the bordered matrix [[0, alpha], [-alpha^T,
-    omega]], its extra row and column indexed 0."""
+    """Rank of the skew matrix (omega(e_i, e_j)) of a 2-form term map, or
+    with a 1-form term map `border` alpha, of the bordered matrix
+    [[0, alpha], [-alpha^T, omega]], its extra row and column indexed 0."""
     rows = {}
-    for mask, c in omega.terms.items():
+    for mask, c in omega.items():
         i, j = indices_of(mask)
         rows.setdefault(i, {})[j] = c
         rows.setdefault(j, {})[i] = -c
     if border is not None:
-        for mask, c in border.terms.items():
+        for mask, c in border.items():
             (i,) = indices_of(mask)
             rows.setdefault(0, {})[i] = c
             rows.setdefault(i, {})[0] = -c
@@ -329,6 +329,10 @@ def verify_claimed_form(g, form, kind):
     since (e_0 ^ alpha)^2 = 0 and (d alpha)^(n+1) has degree past the
     dimension.  So alpha is contact iff the bordered matrix
     [[0, alpha], [-alpha^T, d alpha]] has rank 2n+2.
+
+    d is read as scale * d (`CEComplex.scaled_d`): a form is closed iff that
+    vanishes, and with scale * d alpha the bordered matrix is D (scale M) D
+    for D = diag(1/scale, 1, ..., 1), which has the rank of M.
     """
     if form.dim != g.dim:
         raise ValueError("form lives in dimension %d, algebra has %d"
@@ -340,8 +344,8 @@ def verify_claimed_form(g, form, kind):
     if kind == "symplectic":
         if not form.is_homogeneous(2):
             raise ValueError("symplectic candidate must be homogeneous of degree 2")
-        closed = complex_.differential(form).is_zero()
-        nondeg = _skew_rank(form) == g.dim
+        closed = not complex_.scaled_d(form.terms)
+        nondeg = _skew_rank(form.terms) == g.dim
         checks = (("closed", closed), ("nondegenerate", nondeg))
     else:
         if g.dim == 1:
@@ -349,6 +353,6 @@ def verify_claimed_form(g, form, kind):
                              "dimension 3 or more" % g.name)
         if not form.is_homogeneous(1):
             raise ValueError("contact candidate must be homogeneous of degree 1")
-        nondeg = _skew_rank(complex_.differential(form), form) == g.dim + 1
+        nondeg = _skew_rank(complex_.scaled_d(form.terms), form.terms) == g.dim + 1
         checks = (("contact-nondegenerate", nondeg),)
     return FormCheckReport(kind, checks)

@@ -5,14 +5,15 @@ strictly increasing indices (^ is the wedge) is stored as an integer bitmask
 with bit i-1 set, so index sets are canonical by construction.  A
 Multivector is a validated sparse map from monomial bitmask to a nonzero
 Fraction, with degree queries and rendering; the zero element has an empty
-map.  It has no ring arithmetic: the complex and the decisions compute on
-integer term maps and wrap a Multivector once, around a result.
+map.  Each coefficient is admitted by `linalg.rational`, so a float or a
+string is refused.  It has no ring arithmetic: the complex and the
+decisions compute on term maps and wrap a Multivector once, around a result.
 
 The text rendering (`1/2*x1^x2 - x3^x4`) is the canonical form used by the
 catalog form grammar and the CLI; `signed_sum` writes it and MPoly's text.
 """
 
-from fractions import Fraction
+from .linalg import rational
 
 
 def mask_of(indices):
@@ -92,7 +93,7 @@ class Multivector:
                 if not 0 <= mask < limit:
                     raise ValueError("monomial %r outside ambient dimension %d"
                                      % (indices_of(mask), dim))
-                c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+                c = rational(coeff, "a Multivector coefficient")
                 if c:
                     clean[mask] = c
         self.terms = clean
@@ -109,9 +110,6 @@ class Multivector:
         if len(degs) > 1:
             return False
         return d is None or degs[0] == d
-
-    def is_zero(self):
-        return not self.terms
 
     def __bool__(self):
         return bool(self.terms)

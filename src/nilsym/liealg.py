@@ -3,10 +3,10 @@
 Brackets are stored only for i < j (1-based); [e_j, e_i] = -[e_i, e_j] is
 synthesized.  Coefficients are Fractions only: a compact nilmanifold exists
 for rational structure constants (Malcev 1949), so every analysis needs
-them.  A one-parameter family is a `catalog.CatalogEntry`, whose
-coefficients are one-variable MPolys in lambda, until
-`CatalogEntry.algebra` binds it; `LieAlgebra` rejects a coefficient that
-still depends on lambda.
+them.  `LieAlgebra` admits each coefficient by `linalg.rational`, so a
+float, a string or a polynomial is refused.  A one-parameter family lives
+only in `catalog`: a `CatalogEntry` holds its lambda-coefficients until
+`CatalogEntry.algebra` binds them.
 
 This module owns the input contract on structure constants: `LieAlgebra`
 holds the only check of a dimension, and `bracket_key` and `bracket_row`
@@ -17,25 +17,11 @@ bound.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .cecomplex import build_complex, d_squared_violation
-from .exterior import indices_of
-from .linalg import relations
-from .mpoly import MPoly
+from .linalg import rational, relations
 
 MAX_DIM = 64
-
-
-def lambda_coeff(value):
-    """A structure constant as a catalog entry stores it: a Fraction, or an
-    MPoly in the one parameter when it still depends on it.  An MPoly whose
-    parameter terms have cancelled becomes its constant Fraction."""
-    if isinstance(value, MPoly):
-        if value.total_degree() > 0:
-            return value
-        value = value.terms.get((), 0)
-    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 def bracket_key(i, j, dim, table):
@@ -55,14 +41,12 @@ def bracket_key(i, j, dim, table):
 
 
 def bracket_row(combo, sign, dim):
-    """The stored row {k: coefficient} of sign * sum combo[k] e_k: each
-    coefficient through `lambda_coeff`, zeros dropped.  Raises ValueError on
-    a target outside 1..dim."""
+    """The stored row {k: coefficient} of sign * sum combo[k] e_k, zeros
+    dropped.  Raises ValueError on a target outside 1..dim."""
     row = {}
     for k, c in combo.items():
         if not 1 <= k <= dim:
             raise ValueError("bracket target e%d outside 1..%d" % (k, dim))
-        c = lambda_coeff(c)
         if c:
             row[k] = -c if sign < 0 else c
     return row
@@ -89,11 +73,10 @@ class LieAlgebra:
         self.dual_labels = tuple(dual_labels)
         table = {}
         for (i, j), combo in (brackets or {}).items():
+            combo = {k: rational(c, "the e%d coefficient of [%d,%d]" % (k, i, j))
+                     for k, c in combo.items()}
             i, j, sign = bracket_key(i, j, dim, table)
             row = bracket_row(combo, sign, dim)
-            if any(isinstance(c, MPoly) for c in row.values()):
-                raise ValueError("bracket [%d,%d] depends on a parameter; bind "
-                                 "it with CatalogEntry.algebra" % (i, j))
             if row:
                 table[(i, j)] = row
         self.brackets = table
@@ -146,30 +129,25 @@ def upper_central_series(g):
     exactly when phi([x, e_j]) = 0 for every phi in Ann(C_i) and every j.
     As d phi(e_i, e_j) = -phi([e_i, e_j]), Ann(C_{i+1}) is spanned by the
     interior products iota_{e_j} d phi, and dim C_{i+1} = n - their rank;
-    the independent ones span the next step.  d phi is read off the
-    complex's integer images scale * dx_k, as sum_k phi_k scale * dx_k, and
-    a common scale changes no span, so every functional is an integer map
-    {i: value} and no kernel, residual or bracket table is built.  Stops
-    when the series stabilizes; nilpotent iff it reaches dim.
+    the independent ones span the next step.  Each phi is a 1-form term map
+    {mask: value} and d phi is read off the complex as `scaled_d(phi)`; a
+    common scale changes no span, so every functional is an integer map
+    and no kernel, residual or bracket table is built.  Stops when the
+    series stabilizes; nilpotent iff it reaches dim.
     """
     n = g.dim
-    dx = build_complex(g).images(1)
-    spanning = [{k: 1} for k in range(1, n + 1)]  # Ann(C_0)
+    c = build_complex(g)
+    spanning = [{1 << k: 1} for k in range(n)]  # Ann(C_0)
     dims = []
     while True:
         psis = []
         for phi in spanning:
-            dphi = {}
-            for k, f in phi.items():
-                for m, v in dx[1 << (k - 1)].items():
-                    dphi[m] = dphi.get(m, 0) + f * v
             # iota_{e_i} (v x_i ^ x_j) = v x_j and iota_{e_j} (v x_i ^ x_j) = -v x_i
             iotas = {}
-            for m, v in dphi.items():
-                if v:
-                    i, j = indices_of(m)
-                    iotas.setdefault(i, {})[j] = v
-                    iotas.setdefault(j, {})[i] = -v
+            for m, v in c.scaled_d(phi).items():
+                low = m & -m
+                iotas.setdefault(low, {})[m ^ low] = v
+                iotas.setdefault(m ^ low, {})[low] = -v
             psis += [iotas[j] for j in sorted(iotas)]
         spanning = [psi for psi, rel in zip(psis, relations(psis)) if rel is None]
         new_dim = n - len(spanning)

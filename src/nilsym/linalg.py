@@ -32,14 +32,29 @@ row, on those columns and in place, from each row with a nonzero entry in
 the pivot column, so a sparse differential costs its nonzeros and not its
 width.
 Everything is deterministic.
+
+`rational` is the package's one rule for rational input: it refuses a
+float, a Decimal or a string rather than turn it into a nearby Fraction.
 """
 
 from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def rational(value, what):
+    """value as a Fraction if it is a numbers.Rational (an int or a
+    Fraction); anything else, a float or a string say, raises ValueError
+    naming `what`."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, Rational):
+        return Fraction(value)
+    raise ValueError("%s must be rational, got %r" % (what, value))
 
 
 def rref(rows):

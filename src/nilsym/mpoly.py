@@ -7,7 +7,9 @@ so identical vanishing is a dictionary emptiness check rather than a
 sampling question.
 
 An MPoly is a value, with no ring arithmetic: the Pfaffian expansion and the
-catalog's lambda parser build term maps and wrap them once.
+catalog's lambda parser build term maps and wrap them once.  Its
+coefficients and the points it is evaluated at are admitted by
+`linalg.rational`, so a float or a string is refused.
 """
 
 from bisect import bisect_left, bisect_right
@@ -15,7 +17,7 @@ from fractions import Fraction
 from itertools import groupby
 
 from .exterior import signed_sum
-from .linalg import integer_maps
+from .linalg import integer_maps, rational
 
 
 def _merge(pairs):
@@ -61,9 +63,8 @@ class MPoly:
                     and list(key) == sorted(key)):
                 raise ValueError("bad monomial %r for %d variables: want a "
                                  "sorted tuple of variable indices" % (key, nvars))
-        self.terms = _merge(
-            (key, c if isinstance(c, Fraction) else Fraction(c))
-            for key, c in terms.items())
+        self.terms = _merge((key, rational(c, "an MPoly coefficient"))
+                            for key, c in terms.items())
 
     @classmethod
     def _of(cls, nvars, terms):
@@ -71,10 +72,6 @@ class MPoly:
         out = cls.__new__(cls)
         out.nvars, out.terms = nvars, terms
         return out
-
-    def __neg__(self):
-        """-p, as `bracket_row` stores a reversed bracket [e_j, e_i]."""
-        return MPoly._of(self.nvars, {k: -c for k, c in self.terms.items()})
 
     # ---- queries ----
 
@@ -96,7 +93,7 @@ class MPoly:
         return max(map(len, self.terms), default=-1)
 
     def evaluate(self, point):
-        point = [p if isinstance(p, Fraction) else Fraction(p) for p in point]
+        point = [rational(p, "an MPoly point coordinate") for p in point]
         if len(point) != self.nvars:
             raise ValueError("point length %d, expected %d" % (len(point), self.nvars))
         total = Fraction(0)

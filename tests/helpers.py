@@ -425,11 +425,9 @@ def oracle_pfaffian(basis, dim, m):
 def oracle_contact_poly(g):
     """Top coefficient of alpha ^ (d alpha)^n by brute expansion over
     ordered generator tuples."""
-    from nilsym import build_complex
-
     n2 = g.dim
     n = (n2 - 1) // 2
-    diffs = build_complex(g).generator_differentials
+    diffs = oracle_generator_differentials(g)
     full_mask = (1 << n2) - 1
     terms = {}
     for i0 in range(n2):
@@ -450,13 +448,23 @@ def filiform(n):
                       {(1, i): {i + 1: 1} for i in range(2, n)})
 
 
-def oracle_differential(c, f):
-    """d(f) as the graded-derivation extension of the complex's generator
-    differentials, in Fractions, sharing nothing with its integer images:
-    on a monomial x_{i_1}..x_{i_p} it is
+def oracle_generator_differentials(g):
+    """[dx_1, ..., dx_n] with dx_k = -sum_{i<j} c_ij^k x_i x_j, read off
+    g.brackets as Fraction Multivectors, without the complex."""
+    diffs = [{} for _ in range(g.dim)]
+    for (i, j), row in g.brackets.items():
+        for k, c in row.items():
+            diffs[k - 1][mask_of((i, j))] = -c
+    return [Multivector(g.dim, d) for d in diffs]
+
+
+def oracle_differential(g, f):
+    """d(f) as the graded-derivation extension of g's generator
+    differentials, in Fractions, sharing nothing with the complex: on a
+    monomial x_{i_1}..x_{i_p} it is
     sum_t (-1)^(t-1) dx_{i_t} ^ (monomial with i_t removed)."""
     acc = {}
-    diffs = c.generator_differentials
+    diffs = oracle_generator_differentials(g)
     for mask, coeff in f.terms.items():
         for t, i in enumerate(indices_of(mask)):
             rest = mask ^ (1 << (i - 1))
@@ -466,23 +474,24 @@ def oracle_differential(c, f):
                 if s:
                     m = dmask | rest
                     acc[m] = acc.get(m, Fraction(0)) + s * c0 * dcoeff
-    return Multivector(c.dim, acc)
+    return Multivector(g.dim, acc)
 
 
-def oracle_d_squared_vanishes(c):
+def oracle_d_squared_vanishes(g):
     """d(dx_k) = 0 for every k, computed with `oracle_differential` rather
     than read off the complex's d^2 verdict."""
-    return not any(oracle_differential(c, dxk) for dxk in c.generator_differentials)
+    return not any(oracle_differential(g, dxk)
+                   for dxk in oracle_generator_differentials(g))
 
 
-def oracle_cocycle_basis(c, degree):
+def oracle_cocycle_basis(g, degree):
     """Basis of the closed degree-p forms: `oracle_kernel_basis` of the
     dense matrix of d over lex-ordered monomials, its columns built by
     `oracle_differential`, one vector per free column in lex order."""
-    n = c.dim
+    n = g.dim
     domain = [mask_of(ix) for ix in itertools.combinations(range(1, n + 1), degree)]
     codomain = [mask_of(ix) for ix in itertools.combinations(range(1, n + 1), degree + 1)]
-    columns = [oracle_differential(c, Multivector(n, {m: 1})) for m in domain]
+    columns = [oracle_differential(g, Multivector(n, {m: 1})) for m in domain]
     matrix = [[col.terms.get(m, Fraction(0)) for col in columns] for m in codomain]
     return [Multivector(n, {m: x for m, x in zip(domain, v) if x})
             for v in oracle_kernel_basis(matrix, len(domain))]
@@ -493,12 +502,10 @@ def random_nilpotent(rng, dim):
     (Skjelbred and Sund, 1978): from abelian:2, each new generator e_k gets
     [e_i, e_j] += beta_ij e_k for a random closed 2-form beta, found by
     `oracle_cocycle_basis`, so the Jacobi identity holds by construction."""
-    from nilsym import build_complex
-
     brackets = {}
     for k in range(3, dim + 1):
         g = LieAlgebra("rand", k - 1, brackets)
-        for beta in oracle_cocycle_basis(build_complex(g), 2):
+        for beta in oracle_cocycle_basis(g, 2):
             coeff = rng.choice((0, 0, 1, -1, 2))
             if not coeff:
                 continue

@@ -422,7 +422,7 @@ def test_parse_form_2357C_row():
 
 
 def test_parse_form_repeated_generator_is_zero():
-    assert parse_form("x1^x1", 4).is_zero()
+    assert not parse_form("x1^x1", 4)
 
 
 def test_parse_form_unsorted_generators_pick_up_sign():

@@ -237,6 +237,29 @@ def test_param_value_is_a_catalog_rational(tmp_path, capsys):
     assert code == 0 and "jacobi: yes" in out
 
 
+def test_param_given_twice_is_refused(tmp_path, capsys):
+    # Taking the last value would answer yes for lambda=0, lambda=1 and no
+    # for the reverse order; neither is the obvious reading.
+    path = tmp_path / "fam.cat"
+    path.write_text(FAMILY_CAT.replace(" exclude {0}", ""))
+    for values in (("0", "1"), ("1", "0"), ("1", "1"), ("1", " 1")):
+        argv = [a for v in values for a in ("--param", "lambda=" + v)]
+        code, out, err = run(capsys, "contact", str(path), *argv)
+        assert (code, out, err) == (2, "", "error: --param lambda given twice\n"), values
+    code, out, _ = run(capsys, "contact", str(path), "--param", "lambda=1")
+    assert code == 0 and "contact: yes" in out
+
+
+def test_builtin_size_must_be_decimal_digits(capsys):
+    # "²".isdigit() holds but int("²") raises; the size check names the
+    # builtin instead of letting int()'s message out.
+    for name in ("abelian:²", "heisenberg:³"):
+        kind = name.partition(":")[0]
+        code, out, err = run(capsys, "check", "--builtin", name)
+        assert (code, out) == (2, "")
+        assert err == "error: builtin %r needs a size, e.g. %s:5\n" % (name, kind)
+
+
 def test_catalog_selection_by_name(tmp_path, capsys):
     path = tmp_path / "two.cat"
     path.write_text("algebra one\ndim 2\nend\n\nalgebra two\ndim 3\n"

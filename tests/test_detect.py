@@ -322,15 +322,22 @@ def test_rank_checks_agree_with_wedge_powers():
     # verify_claimed_form reads nondegeneracy off the rank of the skew
     # matrix (symplectic) or of the matrix bordered by the 1-form
     # (contact); the oracle expands form^m and alpha ^ (d alpha)^n, with
-    # d alpha from the graded-derivation oracle.
+    # d alpha from the graded-derivation oracle.  Basis changes give d
+    # non-unit fractions, so the checks also run on a complex whose scale
+    # is not 1.
     rng = random.Random(68)
+    basis_rng = random.Random(69)
     seen = set()
+    scales = set()
     for dim in range(3, 10):
         algebras = [random_nilpotent(rng, dim) for _ in range(3)]
         if dim % 2:  # no form tried on seed 68's dim-9 draws is contact
             algebras.append(builtin("heisenberg:%d" % dim))
+        algebras += [change_basis(g, random_invertible(basis_rng, dim))
+                     for g in algebras]
         for g in algebras:
             c = build_complex(g)
+            scales.add(c.scale)
             if dim % 2:
                 kind, check, n = "contact", "contact-nondegenerate", (dim - 1) // 2
                 forms = [Multivector(dim, {1 << i: rng.choice((0, 0, 1, -1, 2))
@@ -345,13 +352,14 @@ def test_rank_checks_agree_with_wedge_powers():
                           for _ in range(4)]
             for f in forms:
                 if kind == "contact":
-                    top = wedge(f, wedge_power(oracle_differential(c, f), n))
+                    top = wedge(f, wedge_power(oracle_differential(g, f), n))
                 else:
                     top = wedge_power(f, n)
                 checks = dict(verify_claimed_form(g, f, kind).checks)
-                assert checks[check] == (not top.is_zero())
-                seen.add((kind, top.is_zero()))
+                assert checks[check] == bool(top)
+                seen.add((kind, not top))
     assert len(seen) == 4
+    assert max(scales) > 1
 
 
 # ---- witnesses ------------------------------------------------------------
